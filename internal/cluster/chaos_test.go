@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log"
 	"reflect"
@@ -192,5 +193,59 @@ func TestClusterSolveDeterministic(t *testing.T) {
 		tc.Faults.Set(tc.Node(i).URL, cluster.Faults{Delay: 30 * time.Millisecond})
 		check("delayed peer " + tc.Node(i).URL)
 		tc.Faults.Set(tc.Node(i).URL, cluster.Faults{})
+	}
+}
+
+// TestClusterZeroThreshold: at threshold 0 every span plan is empty. Real
+// peers answer with an empty run list, the entry accepts it without a
+// single peer failure or fallback, and the merged plan marshals to the
+// same bytes as a single-node solve.
+func TestClusterZeroThreshold(t *testing.T) {
+	tc, err := testcluster.Start(testcluster.Options{Nodes: 3, Seed: 5, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	ref := service.New(service.Config{Workers: 2, Logger: quiet()})
+	defer ref.Close()
+
+	bins := binset.Table1()
+	entry := tc.Node(0).Service
+	for _, n := range []int{1, 7, 3000, 20001} {
+		in, err := core.NewHomogeneous(bins, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := entry.DecomposeSummarized(context.Background(), service.ClusterSolverName, in)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want, _, err := ref.DecomposeSummarized(context.Background(), ref.DefaultSolver(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gb) != string(wb) {
+			t.Fatalf("n=%d: clustered plan %s, single-node %s", n, gb, wb)
+		}
+	}
+	st := entry.Stats().Cluster
+	if st.SpansRemote == 0 {
+		t.Fatalf("no span went remote: %+v", st)
+	}
+	if st.Fallbacks != 0 {
+		t.Fatalf("%d fallbacks at threshold 0: %+v", st.Fallbacks, st)
+	}
+	for _, p := range st.Peers {
+		if p.Failures != 0 || p.BreakerOpens != 0 {
+			t.Fatalf("peer %s: %d failures, %d breaker opens (last error %q)", p.URL, p.Failures, p.BreakerOpens, p.LastError)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"sort"
 	"strings"
@@ -35,17 +36,19 @@ const DefaultTimeout = 10 * time.Second
 // DefaultMinSpanBlocks is the minimum number of full OPQ1 blocks a span
 // must hold to be worth shipping to a peer when Config.MinSpanBlocks is
 // zero. It is deliberately higher than the solver pool's per-goroutine
-// floor: a remote span pays JSON encode/decode and a network round trip,
-// not just a goroutine handoff.
+// floor: a remote span pays a network round trip and the entry's O(n)
+// feasibility check of the reply, not just a goroutine handoff.
 const DefaultMinSpanBlocks = 16
 
-// maxRemoteBody bounds a decoded peer response (matches the API layer's
-// request bound; a plan for a span we sent can never legitimately exceed
-// it).
+// maxRemoteBody bounds a peer reply body (the API layer's request bound),
+// and half of it bounds the (task, bin) assignments a decoded span plan
+// may expand to: that is the most the earlier use-list wire, at two or
+// more bytes per assignment, could carry in such a body.
 const maxRemoteBody = 64 << 20
 
 // LocalSolver is the local fallback path — the service's cached, sharded
-// solver. It must be safe for concurrent use.
+// solver. It must be safe for concurrent use, and the plans it returns
+// are owned by the caller.
 type LocalSolver interface {
 	SolveContext(ctx context.Context, in *core.Instance) (*core.Plan, error)
 }
@@ -258,14 +261,14 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 		return nil, err
 	}
 
-	runs := make([]*core.PlanRuns, len(spans))
+	plans := make([]*core.Plan, len(spans))
 	errs := make([]error, len(spans))
 	var wg sync.WaitGroup
 	for i := range spans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			runs[i], errs[i] = d.solveSpan(ctx, in, spans[i], nodes[i%len(nodes)], body)
+			plans[i], errs[i] = d.solveSpan(ctx, in, spans[i], nodes[i%len(nodes)], body)
 		}(i)
 	}
 	wg.Wait()
@@ -276,7 +279,22 @@ func (d *Distributor) SolveContext(ctx context.Context, in *core.Instance) (*cor
 	}
 	// Merge in span order: arrival order never reaches the plan, which is
 	// what keeps clustered output deterministic under fault churn.
-	return core.NewRunPlan(core.MergePlanRuns(runs...)), nil
+	return mergeSpans(plans), nil
+}
+
+// mergeSpans merges span plans in order. Run-backed spans (every remote
+// span, and every local one from the service's solver) merge in run form
+// even when all are empty, so the result marshals exactly like a
+// single-node solve; a custom local solver's use list takes
+// core.MergePlans.
+func mergeSpans(plans []*core.Plan) *core.Plan {
+	runs := make([]*core.PlanRuns, len(plans))
+	for i, p := range plans {
+		if runs[i] = p.Runs(); runs[i] == nil {
+			return core.MergePlans(plans...)
+		}
+	}
+	return core.NewRunPlan(core.MergePlanRuns(runs...))
 }
 
 // span is one contiguous block-aligned window of the instance's tasks.
@@ -338,9 +356,9 @@ func (d *Distributor) healthySequence(digest uint64) []string {
 }
 
 // solveSpan solves one span on its assigned node, falling back to a local
-// solve after the peer's retry budget is spent. The returned runs are
+// solve after the peer's retry budget is spent. The returned plan is
 // already offset into the global task space.
-func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp span, node string, body []byte) (*core.PlanRuns, error) {
+func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp span, node string, body []byte) (*core.Plan, error) {
 	if node != d.self {
 		p := d.peers[node]
 		for attempt := 0; attempt <= d.cfg.Retries; attempt++ {
@@ -361,10 +379,10 @@ func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp span,
 			if attempt > 0 {
 				p.retries.Inc()
 			}
-			pr, err := d.solveRemote(ctx, p, in, sp, body)
+			plan, err := d.solveRemote(ctx, p, in, sp, body)
 			if err == nil {
 				d.spansRemote.Add(1)
-				return pr, nil
+				return plan, nil
 			}
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -379,7 +397,7 @@ func (d *Distributor) solveSpan(ctx context.Context, in *core.Instance, sp span,
 
 // solveLocalSpan solves the span in-process as a sub-instance and rebases
 // it to the span's global offset.
-func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp span) (*core.PlanRuns, error) {
+func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp span) (*core.Plan, error) {
 	sub, err := core.NewHomogeneous(in.Bins(), sp.n, in.Threshold(0))
 	if err != nil {
 		return nil, err
@@ -388,12 +406,8 @@ func (d *Distributor) solveLocalSpan(ctx context.Context, in *core.Instance, sp 
 	if err != nil {
 		return nil, err
 	}
-	pr, err := planRuns(plan)
-	if err != nil {
-		return nil, err
-	}
-	pr.OffsetTasks(sp.base)
-	return pr, nil
+	plan.OffsetTasks(sp.base)
+	return plan, nil
 }
 
 // remoteRequest is the POST /v1/decompose body a span ships as (n is
@@ -406,17 +420,17 @@ type remoteRequest struct {
 	IncludePlan bool           `json:"include_plan"`
 }
 
-// remoteResponse is the slice of the decompose reply the merge needs.
-type remoteResponse struct {
-	N    int           `json:"n"`
-	Plan []core.BinUse `json:"plan"`
+// spanReply is the slice of the run-form decompose reply the merge needs.
+type spanReply struct {
+	N    int       `json:"n"`
+	Runs []SpanRun `json:"runs"`
 }
 
-// solveRemote ships one span to the peer and converts the reply back into
-// run form, offset to the span's global base. Every failure mode —
-// transport, status, decode, and an invalid or infeasible plan — counts
-// against the peer's breaker.
-func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instance, sp span, body []byte) (pr *core.PlanRuns, err error) {
+// solveRemote ships one span to the peer and rebuilds the run-form reply,
+// offset to the span's global base. Every failure mode — transport,
+// status, media type, decode, and a malformed, oversized or infeasible
+// plan — counts against the peer's breaker.
+func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instance, sp span, body []byte) (plan *core.Plan, err error) {
 	p.requests.Inc()
 	defer func() {
 		// A canceled parent context is the caller's signal, not peer
@@ -451,6 +465,7 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 		return nil, fmt.Errorf("cluster: building request for %s: %w", p.url, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", SpanRunsMediaType)
 	start := time.Now()
 	resp, err := d.client.Do(req)
 	if err != nil {
@@ -463,30 +478,37 @@ func (d *Distributor) solveRemote(ctx context.Context, p *peer, in *core.Instanc
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: peer %s: status %d", p.url, resp.StatusCode)
 	}
-	var rr remoteResponse
+	// One decode path: a reply in any other form (an older peer's use
+	// list, say) fails the attempt like any other bad reply.
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != SpanRunsMediaType {
+		return nil, fmt.Errorf("cluster: peer %s: reply media type %q, want %s", p.url, mt, SpanRunsMediaType)
+	}
+	var rr spanReply
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxRemoteBody)).Decode(&rr); err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: decoding response: %w", p.url, err)
 	}
 	if rr.N != sp.n {
 		return nil, fmt.Errorf("cluster: peer %s: solved n=%d, span has %d", p.url, rr.N, sp.n)
 	}
-	pr, err = usesToRuns(rr.Plan)
+	// Trust nothing off the wire: the runs must tile the span and stay
+	// within the expansion bound before anything expands, and the plan
+	// must then be a feasible decomposition of the span sub-instance
+	// before it may merge into the caller's plan.
+	pr, err := decodeSpanRuns(rr.Runs, sp.n)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: %w", p.url, err)
 	}
-	// Trust nothing off the wire: the span's plan must be a feasible
-	// decomposition of the span sub-instance before it may merge into the
-	// caller's plan.
 	sub, err := core.NewHomogeneous(in.Bins(), sp.n, in.Threshold(0))
 	if err != nil {
 		return nil, err
 	}
-	if err := core.NewRunPlan(pr).Validate(sub); err != nil {
+	plan = core.NewRunPlan(pr)
+	if err := plan.Validate(sub); err != nil {
 		return nil, fmt.Errorf("cluster: peer %s: invalid plan: %w", p.url, err)
 	}
 	p.latency.ObserveSince(start)
-	pr.OffsetTasks(sp.base)
-	return pr, nil
+	plan.OffsetTasks(sp.base)
+	return plan, nil
 }
 
 // patchN rewrites the "n" field of the shared request prefix. The prefix
@@ -500,67 +522,6 @@ func patchN(body []byte, n int) ([]byte, error) {
 	out = append(out, '{')
 	out = append(out, fmt.Sprintf(`"n":%d,`, n)...)
 	out = append(out, body[1:]...)
-	return out, nil
-}
-
-// planRuns returns the plan's run backing, converting a legacy use list
-// (a custom local solver, or a decoded remote plan) on the fly.
-func planRuns(p *core.Plan) (*core.PlanRuns, error) {
-	if pr := p.Runs(); pr != nil {
-		return pr, nil
-	}
-	return usesToRuns(p.Materialized())
-}
-
-// usesToRuns re-encodes a materialized use list as a PlanRuns whose
-// expansion is byte-identical to the input: maximal runs of consecutive
-// full uses of one cardinality become one multi-block run (Comb BlockLen
-// = cardinality, one use per block), and each partially filled use
-// becomes a padded run over its distinct tasks. This is what lets
-// remotely solved plans — which arrive as JSON use lists — merge through
-// core.MergePlanRuns exactly like locally solved run-form plans.
-func usesToRuns(uses []core.BinUse) (*core.PlanRuns, error) {
-	tasks := 0
-	for i := range uses {
-		tasks += len(uses[i].Tasks)
-	}
-	out := &core.PlanRuns{Arena: make([]int, 0, tasks)}
-	combs := make(map[int]*core.RunComb)
-	comb := func(card int) *core.RunComb {
-		c, ok := combs[card]
-		if !ok {
-			c = &core.RunComb{Parts: []core.RunPart{{Cardinality: card, Count: 1}}, BlockLen: card}
-			combs[card] = c
-		}
-		return c
-	}
-	for i := 0; i < len(uses); {
-		u := &uses[i]
-		card := u.Cardinality
-		if card <= 0 || len(u.Tasks) > card {
-			return nil, fmt.Errorf("cluster: use %d: %d tasks in a cardinality-%d bin", i, len(u.Tasks), card)
-		}
-		if len(u.Tasks) == card {
-			// Extend across every consecutive full use of this cardinality.
-			off := len(out.Arena)
-			blocks := 0
-			for ; i < len(uses) && uses[i].Cardinality == card && len(uses[i].Tasks) == card; i++ {
-				out.Arena = append(out.Arena, uses[i].Tasks...)
-				blocks++
-			}
-			out.Runs = append(out.Runs, core.BlockRun{Comb: comb(card), Blocks: blocks, Off: off, Len: blocks * card})
-			continue
-		}
-		if len(u.Tasks) == 0 {
-			return nil, fmt.Errorf("cluster: use %d: empty bin use", i)
-		}
-		// Padded remainder use: the run's window is the use's distinct
-		// tasks; expansion cycles them back to exactly this task list.
-		off := len(out.Arena)
-		out.Arena = append(out.Arena, u.Tasks...)
-		out.Runs = append(out.Runs, core.BlockRun{Comb: comb(card), Blocks: 0, Off: off, Len: len(u.Tasks)})
-		i++
-	}
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -74,9 +75,15 @@ type peerWire struct {
 	IncludePlan bool           `json:"include_plan"`
 }
 
+// replyRuns writes a run-form span reply.
+func replyRuns(w http.ResponseWriter, n int, runs []SpanRun) {
+	w.Header().Set("Content-Type", SpanRunsMediaType)
+	_ = json.NewEncoder(w).Encode(map[string]any{"n": n, "runs": runs})
+}
+
 // newPeer starts a minimal decompose peer: decode, solve with OPQ, reply
-// {n, plan}. intercept (optional) runs first and may write its own
-// response, returning true to skip the solve.
+// {n, runs} in run form. intercept (optional) runs first and may write
+// its own response, returning true to skip the solve.
 func newPeer(t *testing.T, intercept func(w http.ResponseWriter, req peerWire, attempt int) bool) *httptest.Server {
 	t.Helper()
 	var attempts atomic.Int64
@@ -92,6 +99,9 @@ func newPeer(t *testing.T, intercept func(w http.ResponseWriter, req peerWire, a
 		}
 		if r.URL.Path != "/v1/decompose" {
 			t.Errorf("peer: got path %q", r.URL.Path)
+		}
+		if got := r.Header.Get("Accept"); got != SpanRunsMediaType {
+			t.Errorf("peer: got Accept %q, want %q", got, SpanRunsMediaType)
 		}
 		n := int(attempts.Add(1))
 		if intercept != nil && intercept(w, req, n) {
@@ -112,7 +122,12 @@ func newPeer(t *testing.T, intercept func(w http.ResponseWriter, req peerWire, a
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"n": req.N, "plan": plan.Materialized()})
+		runs, err := EncodeSpanRuns(plan, req.N)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotAcceptable)
+			return
+		}
+		replyRuns(w, req.N, runs)
 	}))
 }
 
@@ -265,25 +280,77 @@ func TestDistributorRetryThenSuccess(t *testing.T) {
 }
 
 func TestDistributorRejectsCorruptRemotePlan(t *testing.T) {
-	cases := map[string]func(w http.ResponseWriter, req peerWire){
-		"wrong n": func(w http.ResponseWriter, req peerWire) {
-			_ = json.NewEncoder(w).Encode(map[string]any{"n": req.N + 1, "plan": []core.BinUse{}})
-		},
-		"invalid plan": func(w http.ResponseWriter, req peerWire) {
-			// Feasibly shaped JSON, but the use list doesn't cover the tasks.
-			_ = json.NewEncoder(w).Encode(map[string]any{"n": req.N, "plan": []core.BinUse{
-				{Cardinality: 1, Tasks: []int{0}},
-			}})
-		},
-		"truncated body": func(w http.ResponseWriter, req peerWire) {
+	// Table 1 at t = 0.95: OPQ1 is {2×b3} with block size 3.
+	full := func(parts [][2]int, blockLen, n int) []SpanRun {
+		return []SpanRun{{Parts: parts, BlockLen: blockLen, Blocks: n / blockLen, Len: n}}
+	}
+	good := [][2]int{{3, 2}}
+	type corruption struct {
+		reply func(w http.ResponseWriter, req peerWire)
+		want  string // substring of the peer's recorded error
+	}
+	cases := map[string]corruption{
+		"wrong n": {want: "solved n=", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N+1, full(good, 3, req.N+1))
+		}},
+		"truncated body": {want: "decoding response", reply: func(w http.ResponseWriter, req peerWire) {
+			w.Header().Set("Content-Type", SpanRunsMediaType)
 			w.Write([]byte(`{"n":`)) //nolint:errcheck
-		},
+		}},
+		"runs overrun the span": {want: "past the span", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, full(good, 3, req.N+3))
+		}},
+		"runs under-cover the span": {want: "runs cover 3 of", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, full(good, 3, req.N-3))
+		}},
+		"unknown cardinality": {want: "unknown bin cardinality 6", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, full([][2]int{{6, 2}}, 6, req.N))
+		}},
+		"zero block length": {want: "block length 0", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, []SpanRun{{Parts: good, BlockLen: 0, Blocks: 1, Len: req.N}})
+		}},
+		"part does not divide the block": {want: "malformed for block length 3", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, full([][2]int{{2, 2}}, 3, req.N))
+		}},
+		"block count disagrees with the window": {want: "full run of 1 blocks", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, []SpanRun{{Parts: good, BlockLen: 3, Blocks: 1, Len: req.N}})
+		}},
+		"invalid plan": {want: "below threshold", reply: func(w http.ResponseWriter, req peerWire) {
+			// A feasible-looking comb that is infeasible: one b3 use per
+			// task gives reliability 0.8 < 0.95.
+			replyRuns(w, req.N, full([][2]int{{3, 1}}, 3, req.N))
+		}},
+		"empty run list at a positive threshold": {want: "below threshold", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, []SpanRun{})
+		}},
+		"huge part count": {want: "more than 33554432 assignments", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, full([][2]int{{3, 1 << 40}}, 3, req.N))
+		}},
+		"huge block count": {want: "full run of 4611686018427387906 blocks", reply: func(w http.ResponseWriter, req peerWire) {
+			// 3·(2^62+2) wraps to 6 in 64-bit arithmetic.
+			replyRuns(w, req.N, []SpanRun{
+				{Parts: good, BlockLen: 3, Blocks: 1<<62 + 2, Len: 6},
+				{Parts: good, BlockLen: 3, Blocks: (req.N - 6) / 3, Len: req.N - 6},
+			})
+		}},
+		"huge padded block": {want: "more than 33554432 assignments", reply: func(w http.ResponseWriter, req peerWire) {
+			replyRuns(w, req.N, []SpanRun{
+				{Parts: [][2]int{{1, 2}}, BlockLen: 1 << 40, Blocks: 0, Len: req.N},
+			})
+		}},
+		"use-list reply from an older peer": {want: "reply media type \"application/json\"", reply: func(w http.ResponseWriter, req peerWire) {
+			bins, _ := core.NewBinSet(req.Bins)
+			in := core.MustHomogeneous(bins, req.N, req.Threshold)
+			plan, _ := (&localOPQ{}).SolveContext(context.Background(), in)
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(map[string]any{"n": req.N, "plan": plan.Materialized()})
+		}},
 	}
 	L := mustBlockSize(t)
-	for name, corrupt := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := newPeer(t, func(w http.ResponseWriter, req peerWire, _ int) bool {
-				corrupt(w, req)
+				c.reply(w, req)
 				return true
 			})
 			defer p.Close()
@@ -294,8 +361,12 @@ func TestDistributorRejectsCorruptRemotePlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			parity(t, in, plan)
-			if st := d.Stats(); st.Fallbacks == 0 || st.Peers[0].Failures == 0 {
+			st := d.Stats()
+			if st.Fallbacks == 0 || st.Peers[0].Failures == 0 || st.SpansRemote != 0 {
 				t.Fatalf("corrupt response not counted: %+v", st)
+			}
+			if !strings.Contains(st.Peers[0].LastError, c.want) {
+				t.Fatalf("peer error %q, want it to mention %q", st.Peers[0].LastError, c.want)
 			}
 		})
 	}
@@ -506,38 +577,6 @@ func TestSpansBlockAligned(t *testing.T) {
 		}
 		if pos != tc.n {
 			t.Fatalf("%+v: spans cover %d of %d tasks", tc, pos, tc.n)
-		}
-	}
-}
-
-func TestUsesToRunsRoundTrip(t *testing.T) {
-	uses := []core.BinUse{
-		{Cardinality: 3, Tasks: []int{0, 1, 2}},
-		{Cardinality: 3, Tasks: []int{3, 4, 5}},
-		{Cardinality: 2, Tasks: []int{6, 7}},
-		{Cardinality: 4, Tasks: []int{8, 9}}, // padded
-		{Cardinality: 1, Tasks: []int{10}},
-	}
-	pr, err := usesToRuns(uses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := core.NewRunPlan(pr).Materialized()
-	if !reflect.DeepEqual(got, uses) {
-		t.Fatalf("round trip diverges:\n got %+v\nwant %+v", got, uses)
-	}
-	// Full-use runs must compact: 2 consecutive card-3 uses are one run.
-	if len(pr.Runs) != 4 {
-		t.Fatalf("got %d runs, want 4 (card-3 pair compacted)", len(pr.Runs))
-	}
-
-	for name, bad := range map[string][]core.BinUse{
-		"empty use":     {{Cardinality: 2, Tasks: nil}},
-		"overfull use":  {{Cardinality: 1, Tasks: []int{0, 1}}},
-		"zero capacity": {{Cardinality: 0, Tasks: nil}},
-	} {
-		if _, err := usesToRuns(bad); err == nil {
-			t.Fatalf("%s accepted", name)
 		}
 	}
 }

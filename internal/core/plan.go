@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -185,35 +186,40 @@ func (p *Plan) Reliability(n int, bins BinSet) ([]float64, error) {
 // Validate checks that the plan is a feasible decomposition of the instance:
 // every bin use refers to a menu bin, holds at most Cardinality distinct
 // tasks with in-range indices, and every task's reliability meets its
-// threshold within RelTol.
+// threshold within RelTol. Its allocations do not grow with the number of
+// uses: one pass streams the uses, accumulating each task's transformed
+// mass into one n-length slice, and the distinctness check needs at most
+// one scratch copy of the largest use.
 func (p *Plan) Validate(in *Instance) error {
 	n := in.N()
+	mass := make([]float64, n)
+	var scratch []int
+	// Uses come in long same-cardinality stretches; the last bin looked
+	// up (and its weight) is reused across them.
+	var b TaskBin
+	var w float64
 	ui := 0
 	err := p.EachUse(func(card int, tasks []int) error {
 		defer func() { ui++ }()
-		b, ok := in.Bins().ByCardinality(card)
-		if !ok {
-			return fmt.Errorf("core: use %d refers to unknown bin cardinality %d", ui, card)
+		if card != b.Cardinality || ui == 0 {
+			var ok bool
+			if b, ok = in.Bins().ByCardinality(card); !ok {
+				return fmt.Errorf("core: use %d refers to unknown bin cardinality %d", ui, card)
+			}
+			w = b.Weight()
 		}
 		if len(tasks) > b.Cardinality {
 			return fmt.Errorf("core: use %d holds %d tasks > cardinality %d", ui, len(tasks), b.Cardinality)
 		}
-		seen := make(map[int]struct{}, len(tasks))
+		var err error
+		if scratch, err = checkUseTasks(ui, tasks, n, scratch); err != nil {
+			return err
+		}
 		for _, t := range tasks {
-			if t < 0 || t >= n {
-				return fmt.Errorf("core: use %d assigns out-of-range task %d (n=%d)", ui, t, n)
-			}
-			if _, dup := seen[t]; dup {
-				return fmt.Errorf("core: use %d assigns task %d twice", ui, t)
-			}
-			seen[t] = struct{}{}
+			mass[t] += w
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	mass, err := p.TransformedMass(n, in.Bins())
 	if err != nil {
 		return err
 	}
@@ -224,6 +230,53 @@ func (p *Plan) Validate(in *Instance) error {
 		}
 	}
 	return nil
+}
+
+// checkUseTasks rejects a use whose tasks are not distinct ids in [0, n),
+// naming the first bad task in task order. An ascending list (every
+// full-block use of a solver plan) is checked in one pass; any other
+// order is sorted in scratch, which is returned for reuse.
+func checkUseTasks(ui int, tasks []int, n int, scratch []int) ([]int, error) {
+	ascending := true
+	for j, t := range tasks {
+		if t < 0 || t >= n {
+			// A repeat before t comes first in task order.
+			if !ascending {
+				if d, ok := firstRepeat(tasks[:j]); ok {
+					return scratch, fmt.Errorf("core: use %d assigns task %d twice", ui, d)
+				}
+			}
+			return scratch, fmt.Errorf("core: use %d assigns out-of-range task %d (n=%d)", ui, t, n)
+		}
+		if j > 0 && t <= tasks[j-1] {
+			ascending = false
+		}
+	}
+	if ascending {
+		return scratch, nil
+	}
+	scratch = append(scratch[:0], tasks...)
+	slices.Sort(scratch)
+	for j := 1; j < len(scratch); j++ {
+		if scratch[j] == scratch[j-1] {
+			d, _ := firstRepeat(tasks)
+			return scratch, fmt.Errorf("core: use %d assigns task %d twice", ui, d)
+		}
+	}
+	return scratch, nil
+}
+
+// firstRepeat returns the first task, in order, that repeats an earlier
+// one. It runs only on the error path.
+func firstRepeat(tasks []int) (int, bool) {
+	seen := make(map[int]struct{}, len(tasks))
+	for _, t := range tasks {
+		if _, dup := seen[t]; dup {
+			return t, true
+		}
+		seen[t] = struct{}{}
+	}
+	return 0, false
 }
 
 // Merge appends the uses of other to p. It is used to combine per-partition

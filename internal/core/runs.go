@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -50,16 +51,6 @@ func (c *RunComb) UsesPerBlock() int {
 	return n
 }
 
-// assignsPerTask returns Σ n_k, the number of bins each full-block task
-// lands in.
-func (c *RunComb) assignsPerTask() int {
-	n := 0
-	for _, p := range c.Parts {
-		n += p.Count
-	}
-	return n
-}
-
 // BlockRun is one run of a plan: Blocks consecutive full applications of
 // Comb over Arena[Off : Off+Len] (Len = Blocks·BlockLen), or — when Blocks
 // is zero — a single padded application over Len < BlockLen remainder
@@ -94,7 +85,7 @@ func (r *BlockRun) check(arenaLen int) error {
 				p.Cardinality, p.Count, r.Comb.BlockLen)
 		}
 	}
-	if r.Off < 0 || r.Len < 0 || r.Off+r.Len > arenaLen {
+	if r.Off < 0 || r.Len < 0 || r.Off > arenaLen || r.Len > arenaLen-r.Off {
 		return fmt.Errorf("core: run window [%d,%d) outside the arena (len %d)", r.Off, r.Off+r.Len, arenaLen)
 	}
 	if r.Padded() {
@@ -103,9 +94,11 @@ func (r *BlockRun) check(arenaLen int) error {
 		}
 		return nil
 	}
-	if r.Blocks < 0 || r.Len != r.Blocks*r.Comb.BlockLen {
-		return fmt.Errorf("core: full run of %d blocks covers %d tasks, want %d",
-			r.Blocks, r.Len, r.Blocks*r.Comb.BlockLen)
+	// Divide rather than multiply: Blocks·BlockLen could wrap around to
+	// Len for a hand-built (or decoded) run with a huge block count.
+	if r.Blocks < 0 || r.Len%r.Comb.BlockLen != 0 || r.Len/r.Comb.BlockLen != r.Blocks {
+		return fmt.Errorf("core: full run of %d blocks of %d tasks covers %d tasks",
+			r.Blocks, r.Comb.BlockLen, r.Len)
 	}
 	return nil
 }
@@ -120,24 +113,41 @@ func (r *BlockRun) uses() int {
 	return r.Blocks * per
 }
 
-// assignments returns the number of (task, bin) pairs the run expands to.
-// For a padded run over rem tasks, a use of cardinality card holds
-// min(card, rem) distinct tasks: block positions are consecutive integers
-// modulo rem, so a window of card positions covers min(card, rem) distinct
-// remainder tasks.
-func (r *BlockRun) assignments() int {
-	if !r.Padded() {
-		return r.Len * r.Comb.assignsPerTask()
-	}
+// assignmentsWithin returns the number of (task, bin) pairs the run
+// expands to, or false once that number would pass limit. It cannot
+// overflow on the huge counts a hand-built or decoded run may carry, as
+// long as the run passed check. For a padded run over rem tasks, a use
+// of cardinality card holds min(card, rem) distinct tasks: block
+// positions are consecutive integers modulo rem, so a window of card
+// positions covers min(card, rem) distinct remainder tasks.
+func (r *BlockRun) assignmentsWithin(limit int) (int, bool) {
 	n := 0
 	for _, p := range r.Comb.Parts {
-		m := p.Cardinality
-		if m > r.Len {
-			m = r.Len
+		var a int
+		ok := true
+		if r.Padded() {
+			a, ok = mulWithin(p.Count, r.Comb.BlockLen/p.Cardinality, limit)
+			if ok {
+				a, ok = mulWithin(a, min(p.Cardinality, r.Len), limit)
+			}
+		} else {
+			a, ok = mulWithin(r.Len, p.Count, limit)
 		}
-		n += p.Count * (r.Comb.BlockLen / p.Cardinality) * m
+		if !ok || a > limit-n {
+			return 0, false
+		}
+		n += a
 	}
-	return n
+	return n, true
+}
+
+// mulWithin returns a·b for non-negative a and b, or false when it would
+// pass limit.
+func mulWithin(a, b, limit int) (int, bool) {
+	if b != 0 && a > limit/b {
+		return 0, false
+	}
+	return a * b, true
 }
 
 // PlanRuns is a decomposition plan in compact block-run form: run metadata
@@ -174,6 +184,20 @@ type PlanRuns struct {
 // NumTasks returns the number of task ids the plan covers.
 func (pr *PlanRuns) NumTasks() int { return len(pr.Arena) }
 
+// Check rejects a structurally malformed plan — a run without a
+// combination, a malformed part, a window outside the arena, or a block
+// count that disagrees with the window — without expanding anything.
+// Solver-emitted plans always pass; EachUse, Cost and Plan.Validate make
+// the same check run by run.
+func (pr *PlanRuns) Check() error {
+	for i := range pr.Runs {
+		if err := pr.Runs[i].check(len(pr.Arena)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // NumUses returns the total number of bin uses, computed from run
 // metadata without expansion.
 func (pr *PlanRuns) NumUses() int {
@@ -187,11 +211,24 @@ func (pr *PlanRuns) NumUses() int {
 // NumAssignments returns the total number of (task, bin) assignments,
 // computed from run metadata without expansion.
 func (pr *PlanRuns) NumAssignments() int {
+	n, _ := pr.AssignmentsWithin(math.MaxInt)
+	return n
+}
+
+// AssignmentsWithin returns NumAssignments and true, or false as soon as
+// the count would pass limit — without overflowing, however large the
+// counts of a checked plan (see Check) are. It bounds the expansion of
+// an untrusted plan before anything expands.
+func (pr *PlanRuns) AssignmentsWithin(limit int) (int, bool) {
 	n := 0
 	for i := range pr.Runs {
-		n += pr.Runs[i].assignments()
+		a, ok := pr.Runs[i].assignmentsWithin(limit - n)
+		if !ok {
+			return 0, false
+		}
+		n += a
 	}
-	return n
+	return n, true
 }
 
 // Counts returns the number of uses per bin cardinality (the {τ_l} vector
@@ -359,14 +396,12 @@ func appendPaddedTasks(dst []int, rem []int, start, card int) []int {
 // solver's empty-plan JSON ("uses":null).
 func (pr *PlanRuns) Materialize() []BinUse {
 	pr.mat.once.Do(func() {
-		for i := range pr.Runs {
-			if err := pr.Runs[i].check(len(pr.Arena)); err != nil {
-				// No error return here; a malformed hand-built plan is a
-				// programmer error — fail loudly instead of dividing by
-				// zero deep in the expansion. Plan.Validate / EachUse are
-				// the error-returning rejection paths.
-				panic(err)
-			}
+		if err := pr.Check(); err != nil {
+			// No error return here; a malformed hand-built plan is a
+			// programmer error — fail loudly instead of dividing by zero
+			// deep in the expansion. Plan.Validate / EachUse are the
+			// error-returning rejection paths.
+			panic(err)
 		}
 		total := pr.NumUses()
 		if total == 0 {
@@ -375,7 +410,8 @@ func (pr *PlanRuns) Materialize() []BinUse {
 		padLen := 0
 		for i := range pr.Runs {
 			if pr.Runs[i].Padded() {
-				padLen += pr.Runs[i].assignments()
+				a, _ := pr.Runs[i].assignmentsWithin(math.MaxInt)
+				padLen += a
 			}
 		}
 		uses := make([]BinUse, 0, total)

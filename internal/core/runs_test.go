@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -266,5 +267,34 @@ func TestRunBackedValidateAndMass(t *testing.T) {
 		}
 	} else if lerr := legacy.Validate(in); lerr != nil {
 		t.Fatalf("legacy Validate failed where run-backed passed: %v", lerr)
+	}
+}
+
+// TestAssignmentsWithin: the bounded count agrees with the expansion
+// below the limit, stops exactly past it, and does not wrap on counts
+// whose product overflows.
+func TestAssignmentsWithin(t *testing.T) {
+	pr := testRuns()
+	want := 0
+	for _, u := range pr.Expand() {
+		want += len(u.Tasks)
+	}
+	if got := pr.NumAssignments(); got != want {
+		t.Fatalf("NumAssignments = %d, expansion has %d", got, want)
+	}
+	if got, ok := pr.AssignmentsWithin(want); !ok || got != want {
+		t.Fatalf("AssignmentsWithin(%d) = %d, %v", want, got, ok)
+	}
+	if _, ok := pr.AssignmentsWithin(want - 1); ok {
+		t.Fatalf("AssignmentsWithin(%d) passed a plan of %d", want-1, want)
+	}
+	huge := &PlanRuns{Arena: make([]int, 6), Runs: []BlockRun{
+		{Comb: &RunComb{Parts: []RunPart{{Cardinality: 3, Count: 1 << 62}}, BlockLen: 3}, Blocks: 2, Off: 0, Len: 6},
+	}}
+	if err := huge.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := huge.AssignmentsWithin(math.MaxInt); ok {
+		t.Fatal("6·2^62 assignments fit in an int")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -20,7 +21,8 @@ const MaxRequestBytes = 64 << 20
 
 // NewHandler returns the service's HTTP API:
 //
-//	POST   /v1/decompose            synchronous decomposition (NDJSON plan body via Accept: application/x-ndjson)
+//	POST   /v1/decompose            synchronous decomposition (NDJSON plan body via Accept: application/x-ndjson,
+//	                                run-form span plan via Accept: application/x-slade-runs+json)
 //	POST   /v1/decompose/batch      many instances over one shared menu, coalesced into one batch window
 //	POST   /v1/jobs                 submit an async job (solve, stream or run)
 //	GET    /v1/jobs/{id}            job status (+ result plan with ?include_plan=true;
@@ -153,6 +155,9 @@ type decomposeResponse struct {
 	Summary   PlanSummary   `json:"summary"`
 	ElapsedMS float64       `json:"elapsed_ms"`
 	Plan      []core.BinUse `json:"plan,omitempty"`
+	// Runs is the plan in run form, only under the cluster's span media
+	// type (cluster.SpanRunsMediaType); present, as [], for an empty plan.
+	Runs *[]cluster.SpanRun `json:"runs,omitempty"`
 }
 
 func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -182,9 +187,23 @@ func handleDecompose(s *Service, w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 	}
 	if req.IncludePlan {
-		// Content negotiation: an Accept of application/x-ndjson streams
-		// the plan body one use per line (the summary header first), never
-		// materializing the run-backed plan.
+		// Content negotiation: a cluster entry node asks for the run form
+		// of its span, O(runs) bytes over the implicit ids 0..n-1. Only a
+		// run-backed plan over those ids has one; anything else is 406.
+		if strings.Contains(r.Header.Get("Accept"), cluster.SpanRunsMediaType) {
+			runs, err := cluster.EncodeSpanRuns(plan, in.N())
+			if err != nil {
+				writeErr(w, http.StatusNotAcceptable, err)
+				return
+			}
+			resp.Runs = &runs
+			w.Header().Set("Content-Type", cluster.SpanRunsMediaType)
+			_ = json.NewEncoder(w).Encode(resp)
+			return
+		}
+		// An Accept of application/x-ndjson streams the plan body one use
+		// per line (the summary header first), never materializing the
+		// run-backed plan.
 		if wantsNDJSON(r) {
 			writeDecomposeNDJSON(w, resp, plan)
 			return
@@ -659,6 +678,8 @@ func errorCode(code int) string {
 	switch {
 	case code == http.StatusNotFound:
 		return "not_found"
+	case code == http.StatusNotAcceptable:
+		return "not_acceptable"
 	case code == http.StatusConflict:
 		return "conflict"
 	case code == http.StatusUnprocessableEntity:

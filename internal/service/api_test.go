@@ -8,11 +8,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/binset"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/opq"
 )
@@ -569,6 +571,84 @@ func TestHTTPDecomposeNDJSON(t *testing.T) {
 	defer resp2.Body.Close()
 	if ct := resp2.Header.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("plan-less NDJSON negotiation: content type %q", ct)
+	}
+}
+
+// TestHTTPDecomposeSpanRuns: Accept: application/x-slade-runs+json (the
+// cluster's span wire) returns the decompose envelope with the plan as
+// runs over the implicit ids 0..n-1, expanding to exactly the plan the
+// JSON form lists; a plan with no such form is 406.
+func TestHTTPDecomposeSpanRuns(t *testing.T) {
+	_, ts := newTestServer(t)
+	post := func(body string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/decompose", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", cluster.SpanRunsMediaType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
+	}
+	for _, n := range []int{1, 100, 1001} {
+		body := fmt.Sprintf(`{"bins":%s,"n":%d,"threshold":0.95,"solver":"sharded","include_plan":true}`, table1JSON, n)
+		resp, raw := post(body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d: status %d: %s", n, resp.StatusCode, raw)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != cluster.SpanRunsMediaType {
+			t.Fatalf("n=%d: content type %q", n, ct)
+		}
+		var dr decomposeResponse
+		if err := json.Unmarshal(raw, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if dr.N != n || dr.Plan != nil || dr.Runs == nil || len(*dr.Runs) == 0 {
+			t.Fatalf("n=%d: envelope n=%d, %d inline uses, runs %v", n, dr.N, len(dr.Plan), dr.Runs)
+		}
+		pr := &core.PlanRuns{Arena: make([]int, n)}
+		for i := range pr.Arena {
+			pr.Arena[i] = i
+		}
+		off := 0
+		for _, r := range *dr.Runs {
+			comb := &core.RunComb{BlockLen: r.BlockLen}
+			for _, p := range r.Parts {
+				comb.Parts = append(comb.Parts, core.RunPart{Cardinality: p[0], Count: p[1]})
+			}
+			pr.Runs = append(pr.Runs, core.BlockRun{Comb: comb, Blocks: r.Blocks, Off: off, Len: r.Len})
+			off += r.Len
+		}
+		var plain decomposeResponse
+		_, plainRaw := postJSON(t, ts.URL+"/v1/decompose", body)
+		if err := json.Unmarshal(plainRaw, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if got := core.NewRunPlan(pr).Materialized(); !reflect.DeepEqual(got, plain.Plan) {
+			t.Fatalf("n=%d: run-form plan expands to %d uses, JSON plan has %d", n, len(got), len(plain.Plan))
+		}
+		if dr.Summary.Cost != plain.Summary.Cost {
+			t.Fatalf("n=%d: summary cost %v vs %v", n, dr.Summary.Cost, plain.Summary.Cost)
+		}
+	}
+	// At threshold 0 the plan is empty: its run form is an empty list.
+	resp, raw := post(fmt.Sprintf(`{"bins":%s,"n":50,"threshold":0,"solver":"sharded","include_plan":true}`, table1JSON))
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"runs":[]`) {
+		t.Fatalf("threshold 0 under the span media type: status %d: %s", resp.StatusCode, raw)
+	}
+	// A legacy use-list plan has no run form.
+	resp, raw = post(fmt.Sprintf(`{"bins":%s,"n":50,"threshold":0.95,"solver":"greedy","include_plan":true}`, table1JSON))
+	if resp.StatusCode != http.StatusNotAcceptable {
+		t.Fatalf("greedy plan under the span media type: status %d: %s", resp.StatusCode, raw)
 	}
 }
 
