@@ -26,6 +26,7 @@ type solveBench struct {
 	ColdAllocsOp   int64   `json:"cold_allocs_op"`
 	CachedNsOp     float64 `json:"cached_ns_op"`
 	CachedAllocsOp int64   `json:"cached_allocs_op"`
+	CachedBytesOp  int64   `json:"cached_bytes_op"`
 	// Materialize is the cached solve plus the lazy []BinUse expansion a
 	// caller pays at the JSON edge — "solve + materialize", the number
 	// the regression gate watches.
@@ -40,7 +41,22 @@ type solveBench struct {
 	AllocImprovement float64 `json:"alloc_improvement"`
 	// AllocBudget echoes the -solve-alloc-budget gate (0 = no gate).
 	AllocBudget int64 `json:"alloc_budget"`
+	// Sweep is the cached solve at growing n. A solve over an implicit
+	// task range allocates the same bytes at any n; the run fails when
+	// bytes/op at the largest n exceed those at the smallest.
+	Sweep []sweepPoint `json:"sweep"`
 }
+
+// sweepPoint is one n of the cached-solve sweep.
+type sweepPoint struct {
+	N        int     `json:"n"`
+	NsOp     float64 `json:"ns_op"`
+	AllocsOp int64   `json:"allocs_op"`
+	BytesOp  int64   `json:"bytes_op"`
+}
+
+// sweepNs are the sizes of the cached-solve sweep.
+var sweepNs = []int{10_000, 1_000_000, 100_000_000}
 
 // runSolveBench measures the decomposition hot path with the testing
 // package's benchmark driver and enforces the allocation budget: the
@@ -63,11 +79,22 @@ func runSolveBench(w io.Writer, jsonPath string, allocBudget int64) error {
 	bench := solveBench{N: n, AllocBudget: allocBudget}
 	fmt.Fprintf(w, "solve bench (Jelly |B|=20, t=%.1f, n=%d)\n", thr, n)
 
-	record := func(label string, nsOp *float64, allocsOp *int64, fn func(b *testing.B)) {
+	record := func(label string, nsOp *float64, allocsOp *int64, fn func(b *testing.B)) testing.BenchmarkResult {
 		res := testing.Benchmark(fn)
 		*nsOp = float64(res.NsPerOp())
 		*allocsOp = res.AllocsPerOp()
-		fmt.Fprintf(w, "  %-28s %10.0f ns/op  %6d allocs/op\n", label+":", *nsOp, *allocsOp)
+		fmt.Fprintf(w, "  %-28s %10.0f ns/op  %6d allocs/op  %8d B/op\n", label+":", *nsOp, *allocsOp, res.AllocedBytesPerOp())
+		return res
+	}
+	cachedSolve := func(n int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := opq.SolveRunsRange(q, 0, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 
 	record("cold (build + solve)", &bench.ColdNsOp, &bench.ColdAllocsOp, func(b *testing.B) {
@@ -82,14 +109,7 @@ func runSolveBench(w io.Writer, jsonPath string, allocBudget int64) error {
 			}
 		}
 	})
-	record("cached (runs only)", &bench.CachedNsOp, &bench.CachedAllocsOp, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := opq.SolveRunsRange(q, 0, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	bench.CachedBytesOp = record("cached (runs only)", &bench.CachedNsOp, &bench.CachedAllocsOp, cachedSolve(n)).AllocedBytesPerOp()
 	record("cached solve+materialize", &bench.MaterializeNsOp, &bench.MaterializeAllocsOp, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -115,6 +135,12 @@ func runSolveBench(w io.Writer, jsonPath string, allocBudget int64) error {
 		}
 	})
 
+	for _, sn := range sweepNs {
+		pt := sweepPoint{N: sn}
+		pt.BytesOp = record(fmt.Sprintf("cached solve n=%.0e", float64(sn)), &pt.NsOp, &pt.AllocsOp, cachedSolve(sn)).AllocedBytesPerOp()
+		bench.Sweep = append(bench.Sweep, pt)
+	}
+
 	if bench.MaterializeAllocsOp > 0 {
 		bench.AllocImprovement = float64(bench.PerUseAllocsOp) / float64(bench.MaterializeAllocsOp)
 		fmt.Fprintf(w, "  alloc improvement vs per-use baseline: %.1fx\n", bench.AllocImprovement)
@@ -129,6 +155,10 @@ func runSolveBench(w io.Writer, jsonPath string, allocBudget int64) error {
 			return fmt.Errorf("writing solve bench json: %w", err)
 		}
 		fmt.Fprintf(w, "  bench json written to %s\n", jsonPath)
+	}
+	if first, last := bench.Sweep[0], bench.Sweep[len(bench.Sweep)-1]; last.BytesOp > first.BytesOp {
+		return fmt.Errorf("cached solve allocates %d B/op at n=%d but %d B/op at n=%d — the solve is no longer flat in n",
+			last.BytesOp, last.N, first.BytesOp, first.N)
 	}
 	if allocBudget > 0 && bench.MaterializeAllocsOp > allocBudget {
 		return fmt.Errorf("cached solve+materialize costs %d allocs/op, over the committed budget of %d — the zero-allocation pipeline regressed",

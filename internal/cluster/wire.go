@@ -27,23 +27,21 @@ type SpanRun struct {
 	Len      int      `json:"len"`
 }
 
-// EncodeSpanRuns returns the plan of an n-task span in wire form. Only a
-// run-backed plan over the identity arena 0..n-1, with runs tiling it in
-// order, has a wire form; any other plan is an error (the peer answers
-// 406). A run-backed plan with no runs (every task at threshold 0) is
-// the empty run list.
+// EncodeSpanRuns returns the plan of an n-task span in wire form. Only an
+// implicit run-backed plan over the identity ids 0..n-1 (an O(1) check),
+// with runs tiling it in order, has a wire form; any other plan is an
+// error (the peer answers 406). A run-backed plan with no runs (every
+// task at threshold 0) is the empty run list.
 func EncodeSpanRuns(p *core.Plan, n int) ([]SpanRun, error) {
 	pr := p.Runs()
 	if pr != nil && len(pr.Runs) == 0 {
 		return []SpanRun{}, nil
 	}
-	if pr == nil || len(pr.Arena) != n {
+	if pr == nil || pr.NumTasks() != n {
 		return nil, fmt.Errorf("cluster: plan is not run-backed over %d tasks", n)
 	}
-	for i, id := range pr.Arena {
-		if id != i {
-			return nil, fmt.Errorf("cluster: plan arena is not the identity (position %d holds task %d)", i, id)
-		}
+	if base, _, ok := pr.TaskRange(); !ok || base != 0 {
+		return nil, fmt.Errorf("cluster: plan is not over the identity ids 0..%d", n-1)
 	}
 	out := make([]SpanRun, len(pr.Runs))
 	pos := 0
@@ -65,9 +63,10 @@ func EncodeSpanRuns(p *core.Plan, n int) ([]SpanRun, error) {
 	return out, nil
 }
 
-// decodeSpanRuns rebuilds an n-task span plan from its wire runs over the
-// identity arena. It checks that the runs tile [0, n) exactly, that each
-// is structurally sound, and that the plan expands to at most
+// decodeSpanRuns rebuilds an n-task span plan from its wire runs as an
+// implicit plan over the identity ids 0..n-1, allocating nothing of size
+// n. It checks that the runs tile [0, n) exactly, that each is
+// structurally sound, and that the plan expands to at most
 // maxRemoteBody/2 (task, bin) pairs — all arithmetic on run metadata, so
 // a reply of a few bytes cannot make the caller expand without bound. An
 // empty run list is the empty plan, as the solver emits at threshold 0.
@@ -77,7 +76,7 @@ func decodeSpanRuns(runs []SpanRun, n int) (*core.PlanRuns, error) {
 	if len(runs) == 0 {
 		return &core.PlanRuns{}, nil
 	}
-	pr := &core.PlanRuns{Runs: make([]core.BlockRun, len(runs))}
+	pr := core.RangePlanRuns(0, n, make([]core.BlockRun, len(runs)))
 	pos := 0
 	for i, w := range runs {
 		if w.Len < 0 || w.Len > n-pos {
@@ -93,10 +92,6 @@ func decodeSpanRuns(runs []SpanRun, n int) (*core.PlanRuns, error) {
 	}
 	if pos != n {
 		return nil, fmt.Errorf("cluster: runs cover %d of the span's %d tasks", pos, n)
-	}
-	pr.Arena = make([]int, n)
-	for i := range pr.Arena {
-		pr.Arena[i] = i
 	}
 	if err := pr.Check(); err != nil {
 		return nil, err

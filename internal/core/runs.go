@@ -10,11 +10,12 @@ import (
 // output is extremely regular — a handful of segments, each k identical full
 // blocks of one combination, plus at most one padded block — yet the legacy
 // Plan form stores it as thousands of independently allocated BinUse slices.
-// PlanRuns stores the same plan as run metadata over a single task-id arena:
-// cost, use counts and summaries are computed arithmetically from the runs,
-// iteration streams uses without materializing them, and the legacy []BinUse
-// form is produced once, lazily, only where a caller truly needs per-use
-// task lists (JSON encoding, mostly).
+// PlanRuns stores the same plan as run metadata over its task ids — the
+// contiguous range base..base+n-1 held as two integers, or an explicit
+// task-id arena: cost, use counts and summaries are computed arithmetically
+// from the runs, iteration streams uses without materializing them, and the
+// legacy []BinUse form is produced once, lazily, only where a caller truly
+// needs per-use task lists (JSON encoding, mostly).
 
 // RunPart is one (cardinality, per-task multiplicity) component of a
 // RunComb: within one block, every task is assigned Count times to bins of
@@ -151,10 +152,19 @@ func mulWithin(a, b, limit int) (int, bool) {
 }
 
 // PlanRuns is a decomposition plan in compact block-run form: run metadata
-// over one shared task-id arena. It expands to exactly the same bin-use
+// over the plan's task ids. It expands to exactly the same bin-use
 // sequence the legacy solver emitted — same uses, same order, same task
 // ids — which is what keeps every cost computed from it bit-identical to
 // the legacy accumulation.
+//
+// The ids take one of two forms. An implicit plan (RangePlanRuns — what
+// the homogeneous solvers emit) addresses the contiguous ids
+// base..base+n-1 and stores only (base, n), so solving, cloning,
+// offsetting and contiguous merging are O(runs) whatever n is; ids are
+// written out only where a caller iterates tasks. An explicit plan
+// (Arena set — a heterogeneous partition's or stream's arbitrary ids, or
+// a hand-built PlanRuns{Arena, Runs}) holds them in the arena, and runs
+// reference windows of it.
 //
 // A PlanRuns is read-only after construction except for OffsetTasks, which
 // requires exclusive ownership. Materialize is safe for concurrent use.
@@ -165,24 +175,68 @@ func mulWithin(a, b, limit int) (int, bool) {
 // produced in full blocks. Hand-built plans are validated structurally by
 // EachUse/Cost (and Plan.Validate); solver-emitted runs always pass.
 type PlanRuns struct {
-	// Arena holds every task id the plan addresses; runs reference
-	// contiguous windows of it.
+	// Arena holds every task id of an explicit plan; runs reference
+	// contiguous windows of it. Nil for an implicit plan.
 	Arena []int
 	// Runs is the plan's run sequence, in emission order.
 	Runs []BlockRun
 
+	// base and span describe an implicit plan: arena position i stands
+	// for task base+i, for i < span. span is 0 for an explicit plan.
+	base, span int
+
 	// mat caches the lazily materialized legacy view. Full-block uses
-	// alias Arena windows (zero copy); padded uses live in mat.pad so
-	// OffsetTasks can keep a done materialization coherent.
+	// alias Arena windows (zero copy) — or, for an implicit plan, windows
+	// of mat.ids, its ids written out once; padded uses live in mat.pad.
+	// OffsetTasks keeps a done materialization coherent.
 	mat struct {
 		once sync.Once
 		uses []BinUse
+		ids  []int
 		pad  []int
 	}
 }
 
+// RangePlanRuns returns the implicit plan whose runs cover the contiguous
+// task ids base..base+n-1 (run windows are positions 0..n-1 of that
+// range). Nothing of size n is allocated.
+func RangePlanRuns(base, n int, runs []BlockRun) *PlanRuns {
+	return &PlanRuns{Runs: runs, base: base, span: n}
+}
+
+// TaskRange reports the task range of an implicit plan: its ids are
+// base..base+n-1. ok is false for an explicit (arena-backed) plan.
+func (pr *PlanRuns) TaskRange() (base, n int, ok bool) {
+	if pr.Arena != nil || pr.span == 0 {
+		return 0, 0, false
+	}
+	return pr.base, pr.span, true
+}
+
 // NumTasks returns the number of task ids the plan covers.
-func (pr *PlanRuns) NumTasks() int { return len(pr.Arena) }
+func (pr *PlanRuns) NumTasks() int {
+	if pr.Arena != nil {
+		return len(pr.Arena)
+	}
+	return pr.span
+}
+
+// ids returns the task ids at positions [off, off+n): a window of the
+// arena, or for an implicit plan the consecutive ids written into
+// *scratch (grown as needed).
+func (pr *PlanRuns) ids(off, n int, scratch *[]int) []int {
+	if pr.Arena != nil {
+		return pr.Arena[off : off+n]
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]int, n)
+	}
+	s := (*scratch)[:n]
+	for i := range s {
+		s[i] = pr.base + off + i
+	}
+	return s
+}
 
 // Check rejects a structurally malformed plan — a run without a
 // combination, a malformed part, a window outside the arena, or a block
@@ -190,8 +244,9 @@ func (pr *PlanRuns) NumTasks() int { return len(pr.Arena) }
 // Solver-emitted plans always pass; EachUse, Cost and Plan.Validate make
 // the same check run by run.
 func (pr *PlanRuns) Check() error {
+	n := pr.NumTasks()
 	for i := range pr.Runs {
-		if err := pr.Runs[i].check(len(pr.Arena)); err != nil {
+		if err := pr.Runs[i].check(n); err != nil {
 			return err
 		}
 	}
@@ -260,7 +315,7 @@ func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
 	var costs []float64 // per-part bin costs, resolved once per run
 	for i := range pr.Runs {
 		r := &pr.Runs[i]
-		if err := r.check(len(pr.Arena)); err != nil {
+		if err := r.check(pr.NumTasks()); err != nil {
 			return 0, err
 		}
 		blocks := r.Blocks
@@ -289,40 +344,44 @@ func (pr *PlanRuns) Cost(bins BinSet) (float64, error) {
 	return total, nil
 }
 
-// padScratch pools the per-use task buffers EachUse hands out for padded
-// runs, so streaming over a plan allocates nothing per use.
-var padScratch = sync.Pool{
-	New: func() any {
-		s := make([]int, 0, 64)
-		return &s
-	},
+// idScratch pools the buffers EachUse writes task ids into — an implicit
+// plan's block ids and a padded use's tasks — so streaming over a plan
+// allocates nothing per use.
+var idScratch = sync.Pool{
+	New: func() any { return &idBufs{use: make([]int, 0, 64)} },
 }
 
+// idBufs is one EachUse call's scratch: block holds the ids of the
+// current block (or padded remainder) of an implicit plan, use the tasks
+// of the current padded use.
+type idBufs struct{ block, use []int }
+
 // EachUse streams the plan's bin uses in expansion order without
-// materializing them: full-block uses pass windows of the arena (zero
-// copy) and padded uses a pooled scratch slice. The tasks slice is only
-// valid for the duration of the callback and must not be retained or
-// mutated. Iteration stops at the first non-nil error, which is
-// returned; a structurally malformed run (hand-built plans only) is
-// reported as an error rather than iterated, which is what lets
-// Plan.Validate reject such plans cleanly.
+// materializing them: full-block uses of an explicit plan pass windows of
+// the arena (zero copy), an implicit plan's ids and padded uses come from
+// pooled scratch. The tasks slice is only valid for the duration of the
+// callback and must not be retained or mutated. Iteration stops at the
+// first non-nil error, which is returned; a structurally malformed run
+// (hand-built plans only) is reported as an error rather than iterated,
+// which is what lets Plan.Validate reject such plans cleanly.
 func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
-	scratchp := padScratch.Get().(*[]int)
-	defer padScratch.Put(scratchp)
+	buf := idScratch.Get().(*idBufs)
+	defer idScratch.Put(buf)
+	n := pr.NumTasks()
 	for i := range pr.Runs {
 		r := &pr.Runs[i]
-		if err := r.check(len(pr.Arena)); err != nil {
+		if err := r.check(n); err != nil {
 			return err
 		}
 		if r.Padded() {
-			if err := r.eachPaddedUse(pr.Arena, scratchp, fn); err != nil {
+			if err := r.eachPaddedUse(pr.ids(r.Off, r.Len, &buf.block), &buf.use, fn); err != nil {
 				return err
 			}
 			continue
 		}
 		L := r.Comb.BlockLen
 		for b := 0; b < r.Blocks; b++ {
-			block := pr.Arena[r.Off+b*L : r.Off+(b+1)*L]
+			block := pr.ids(r.Off+b*L, L, &buf.block)
 			for _, p := range r.Comb.Parts {
 				card := p.Cardinality
 				for rep := 0; rep < p.Count; rep++ {
@@ -338,34 +397,22 @@ func (pr *PlanRuns) EachUse(fn func(cardinality int, tasks []int) error) error {
 	return nil
 }
 
-// eachPaddedUse streams one padded application over rem = Len remainder
-// tasks. Block position i holds task rem[i%len(rem)], and a use over
+// eachPaddedUse streams one padded application over the remainder tasks
+// rem. Block position i holds task rem[i%len(rem)], and a use over
 // positions [start, start+card) keeps the first occurrence of each
 // distinct task: positions are consecutive integers modulo rem, so the
 // distinct tasks are exactly rem[(start+j) % len(rem)] for
 // j < min(card, rem) — index arithmetic replaces the per-use dedup map
 // the legacy expansion allocated, with byte-identical output (the map
 // version also appended tasks in first-occurrence position order).
-func (r *BlockRun) eachPaddedUse(arena []int, scratchp *[]int, fn func(cardinality int, tasks []int) error) error {
-	rem := arena[r.Off : r.Off+r.Len]
-	n := len(rem)
+func (r *BlockRun) eachPaddedUse(rem []int, scratchp *[]int, fn func(cardinality int, tasks []int) error) error {
 	L := r.Comb.BlockLen
 	for _, p := range r.Comb.Parts {
 		card := p.Cardinality
-		m := card
-		if m > n {
-			m = n
-		}
-		if cap(*scratchp) < m {
-			*scratchp = make([]int, 0, m)
-		}
-		tasks := (*scratchp)[:m]
 		for rep := 0; rep < p.Count; rep++ {
 			for start := 0; start < L; start += card {
-				for j := 0; j < m; j++ {
-					tasks[j] = rem[(start+j)%n]
-				}
-				if err := fn(card, tasks); err != nil {
+				*scratchp = appendPaddedTasks((*scratchp)[:0], rem, start, card)
+				if err := fn(card, *scratchp); err != nil {
 					return err
 				}
 			}
@@ -374,8 +421,8 @@ func (r *BlockRun) eachPaddedUse(arena []int, scratchp *[]int, fn func(cardinali
 	return nil
 }
 
-// appendPaddedTasks appends the padded use's distinct tasks to dst (the
-// copying twin of eachPaddedUse's scratch fill).
+// appendPaddedTasks appends the padded use over positions
+// [start, start+card) of the remainder rem — its distinct tasks — to dst.
 func appendPaddedTasks(dst []int, rem []int, start, card int) []int {
 	n := len(rem)
 	m := card
@@ -390,7 +437,8 @@ func appendPaddedTasks(dst []int, rem []int, start, card int) []int {
 
 // Materialize returns the plan's legacy []BinUse view, built on first call
 // and cached: one []BinUse for every use, full-block task lists aliasing
-// the arena (zero copy) and padded lists in one shared backing array. The
+// the arena (zero copy; an implicit plan writes its ids out once for
+// them to alias) and padded lists in one shared backing array. The
 // result is read-only — it shares storage with the arena — and safe for
 // concurrent use. Returns nil for an empty plan, matching the legacy
 // solver's empty-plan JSON ("uses":null).
@@ -407,6 +455,11 @@ func (pr *PlanRuns) Materialize() []BinUse {
 		if total == 0 {
 			return
 		}
+		arena := pr.Arena
+		if arena == nil {
+			pr.mat.ids = pr.ids(0, pr.span, &pr.mat.ids)
+			arena = pr.mat.ids
+		}
 		padLen := 0
 		for i := range pr.Runs {
 			if pr.Runs[i].Padded() {
@@ -420,7 +473,7 @@ func (pr *PlanRuns) Materialize() []BinUse {
 			r := &pr.Runs[i]
 			L := r.Comb.BlockLen
 			if r.Padded() {
-				rem := pr.Arena[r.Off : r.Off+r.Len]
+				rem := arena[r.Off : r.Off+r.Len]
 				for _, p := range r.Comb.Parts {
 					for rep := 0; rep < p.Count; rep++ {
 						for start := 0; start < L; start += p.Cardinality {
@@ -438,7 +491,7 @@ func (pr *PlanRuns) Materialize() []BinUse {
 					card := p.Cardinality
 					for rep := 0; rep < p.Count; rep++ {
 						for start := 0; start < L; start += card {
-							uses = append(uses, BinUse{Cardinality: card, Tasks: pr.Arena[base+start : base+start+card : base+start+card]})
+							uses = append(uses, BinUse{Cardinality: card, Tasks: arena[base+start : base+start+card : base+start+card]})
 						}
 					}
 				}
@@ -472,62 +525,83 @@ func (pr *PlanRuns) Expand() []BinUse {
 	return uses
 }
 
-// OffsetTasks shifts every task id in the plan by delta — one pass over
-// the arena instead of the legacy per-use loop. The caller must own the
-// plan exclusively: the arena may be shared with a cached materialization
+// OffsetTasks shifts every task id in the plan by delta: O(1) for an
+// implicit plan (its base moves), one pass over the arena of an explicit
+// one, instead of the legacy per-use loop. The caller must own the plan
+// exclusively: the arena may be shared with a cached materialization
 // (kept coherent here) but must not be shared with other live plans.
 func (pr *PlanRuns) OffsetTasks(delta int) {
 	if delta == 0 {
 		return
 	}
-	for i := range pr.Arena {
-		pr.Arena[i] += delta
+	if pr.Arena == nil {
+		pr.base += delta
 	}
-	for i := range pr.mat.pad {
-		pr.mat.pad[i] += delta
+	for _, ids := range [][]int{pr.Arena, pr.mat.ids, pr.mat.pad} {
+		for i := range ids {
+			ids[i] += delta
+		}
 	}
 }
 
-// Clone returns an independent deep copy: fresh arena and run slice, the
-// (immutable) combs shared. The batcher's stamp path uses it to hand each
-// same-shape member its own plan in three allocations regardless of use
-// count.
+// Clone returns an independent deep copy: fresh run slice (and arena, for
+// an explicit plan), the (immutable) combs shared. An implicit plan
+// clones in O(runs). The batcher's stamp path uses it to hand each
+// same-shape member its own plan.
 func (pr *PlanRuns) Clone() *PlanRuns {
 	out := &PlanRuns{
-		Arena: append([]int(nil), pr.Arena...),
-		Runs:  append([]BlockRun(nil), pr.Runs...),
+		Runs: append([]BlockRun(nil), pr.Runs...),
+		base: pr.base,
+		span: pr.span,
+	}
+	if pr.Arena != nil {
+		out.Arena = append([]int(nil), pr.Arena...)
 	}
 	return out
 }
 
 // MergePlanRuns concatenates run-backed plans (nil and empty entries
-// skipped) into one independent plan: arenas are copied into a single new
-// arena and run offsets rebased, so mutating the merged plan (e.g.
-// OffsetTasks) never touches the inputs. Cost is additive, and the merged
-// expansion order is the inputs' expansion orders in sequence — exactly
-// the legacy MergePlans contract, without expanding anything.
+// skipped) into one independent plan, run offsets rebased, so mutating
+// the merged plan (e.g. OffsetTasks) never touches the inputs. Implicit
+// inputs whose ranges follow one another (each starting where the last
+// ended — the shape of block-aligned shards and offset spans) merge into
+// one implicit plan in O(runs); any other mix copies every input's ids
+// into a single new arena. Cost is additive, and the merged expansion
+// order is the inputs' expansion orders in sequence — exactly the legacy
+// MergePlans contract, without expanding anything.
 func MergePlanRuns(prs ...*PlanRuns) *PlanRuns {
+	parts := make([]*PlanRuns, 0, len(prs))
 	tasks, runs := 0, 0
+	implicit := true
 	for _, pr := range prs {
-		if pr != nil {
-			tasks += len(pr.Arena)
-			runs += len(pr.Runs)
-		}
-	}
-	out := &PlanRuns{
-		Arena: make([]int, 0, tasks),
-		Runs:  make([]BlockRun, 0, runs),
-	}
-	for _, pr := range prs {
-		if pr == nil {
+		if pr == nil || len(pr.Runs) == 0 && pr.NumTasks() == 0 {
 			continue
 		}
-		base := len(out.Arena)
-		out.Arena = append(out.Arena, pr.Arena...)
+		base, _, ok := pr.TaskRange()
+		implicit = implicit && ok && (len(parts) == 0 || base == parts[0].base+tasks)
+		parts = append(parts, pr)
+		tasks += pr.NumTasks()
+		runs += len(pr.Runs)
+	}
+	out := &PlanRuns{Runs: make([]BlockRun, 0, runs)}
+	switch {
+	case len(parts) == 0:
+	case implicit:
+		out.base, out.span = parts[0].base, tasks
+	default:
+		out.Arena = make([]int, 0, tasks)
+	}
+	pos := 0
+	var scratch []int
+	for _, pr := range parts {
 		for _, r := range pr.Runs {
-			r.Off += base
+			r.Off += pos
 			out.Runs = append(out.Runs, r)
 		}
+		if out.Arena != nil {
+			out.Arena = append(out.Arena, pr.ids(0, pr.NumTasks(), &scratch)...)
+		}
+		pos += pr.NumTasks()
 	}
 	return out
 }

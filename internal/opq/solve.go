@@ -147,49 +147,38 @@ func appendRuns(runs []core.BlockRun, sc *specCache, q *Queue, prev *Comb, off, 
 // expansion has always had, which the service layer enforces at
 // submission.
 func SolveRuns(q *Queue, tasks []int) (*core.PlanRuns, error) {
-	pr, err := solveSized(q, len(tasks))
+	runs, err := planRuns(q, len(tasks))
 	if err != nil {
 		return nil, err
 	}
-	copy(pr.Arena, tasks)
-	return pr, nil
+	if len(runs) == 0 {
+		return &core.PlanRuns{}, nil
+	}
+	return &core.PlanRuns{Arena: append([]int(nil), tasks...), Runs: runs}, nil
 }
 
 // SolveRunsRange is SolveRuns for the contiguous task ids
-// base..base+n-1, filling the arena directly instead of copying a
-// caller-built slice — the shape the service's homogeneous shard path
-// uses.
+// base..base+n-1, returned as an implicit plan (core.RangePlanRuns): no
+// id is stored, so the solve allocates the same bytes for any n — the
+// shape the service's homogeneous shard path uses.
 func SolveRunsRange(q *Queue, base, n int) (*core.PlanRuns, error) {
-	pr, err := solveSized(q, n)
+	runs, err := planRuns(q, n)
 	if err != nil {
 		return nil, err
 	}
-	for i := range pr.Arena {
-		pr.Arena[i] = base + i
+	if len(runs) == 0 {
+		return &core.PlanRuns{}, nil
 	}
-	return pr, nil
+	return core.RangePlanRuns(base, n, runs), nil
 }
 
-// solveSized plans the runs for n tasks and allocates the (unfilled)
-// arena.
-func solveSized(q *Queue, n int) (*core.PlanRuns, error) {
-	pr := &core.PlanRuns{}
-	if n == 0 {
-		if len(q.Elems) == 0 {
-			return nil, fmt.Errorf("opq: empty queue")
-		}
-		return pr, nil
+// planRuns plans the runs for n tasks.
+func planRuns(q *Queue, n int) ([]core.BlockRun, error) {
+	if len(q.Elems) == 0 {
+		return nil, fmt.Errorf("opq: empty queue")
 	}
 	var sc specCache
-	runs, err := appendRuns(nil, &sc, q, nil, 0, n)
-	if err != nil {
-		return nil, err
-	}
-	pr.Runs = runs
-	if len(runs) > 0 {
-		pr.Arena = make([]int, n)
-	}
-	return pr, nil
+	return appendRuns(nil, &sc, q, nil, 0, n)
 }
 
 // SolveWithQueue is the legacy-form entry: Algorithm 3 on the given task
@@ -265,20 +254,19 @@ func NewBatchPlanner(q *Queue) (*BatchPlanner, error) {
 }
 
 // Solve plans n tasks with local ids 0..n-1 (the id space every batched
-// request lives in) in compact run form.
+// request lives in) as an implicit run-form plan.
 func (bp *BatchPlanner) Solve(n int) (*core.PlanRuns, error) {
-	pr := &core.PlanRuns{}
 	if n == 0 || core.Theta(bp.q.Threshold) == 0 {
-		return pr, nil
+		return &core.PlanRuns{}, nil
 	}
+	var runs []core.BlockRun
 	L := int(bp.q.Elems[0].LCM)
 	if n < L {
 		// Smaller than the optimal block: no full-block prefix to share.
-		runs, err := appendRuns(nil, &bp.sc, bp.q, nil, 0, n)
-		if err != nil {
+		var err error
+		if runs, err = appendRuns(nil, &bp.sc, bp.q, nil, 0, n); err != nil {
 			return nil, err
 		}
-		pr.Runs = runs
 	} else {
 		k, rem := n/L, n%L
 		suffix, ok := bp.remRuns[rem]
@@ -290,19 +278,14 @@ func (bp *BatchPlanner) Solve(n int) (*core.PlanRuns, error) {
 			}
 			bp.remRuns[rem] = suffix
 		}
-		runs := make([]core.BlockRun, 0, 1+len(suffix))
+		runs = make([]core.BlockRun, 0, 1+len(suffix))
 		runs = append(runs, core.BlockRun{Comb: bp.sc.spec(&bp.q.Elems[0]), Blocks: k, Off: 0, Len: k * L})
 		for _, r := range suffix {
 			r.Off += k * L
 			runs = append(runs, r)
 		}
-		pr.Runs = runs
 	}
-	pr.Arena = make([]int, n)
-	for i := range pr.Arena {
-		pr.Arena[i] = i
-	}
-	return pr, nil
+	return core.RangePlanRuns(0, n, runs), nil
 }
 
 // ApproxRatioBound returns the Theorem-2 approximation guarantee log2(n)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -98,7 +97,8 @@ func FuzzScenarioCostParity(f *testing.F) {
 
 		// Batched == solo: the whole mix coalesced into one shared solve,
 		// each caller's delivered plan priced exactly like its solo solve.
-		// The cap (not the window) flushes, keeping the batch composition
+		// The members enter the batcher in one step (DecomposeBatch) and
+		// the cap flushes them, keeping the batch composition
 		// deterministic.
 		svc := service.New(service.Config{
 			Workers:          4,
@@ -107,25 +107,17 @@ func FuzzScenarioCostParity(f *testing.F) {
 			Slog:             slog.New(slog.NewTextHandler(io.Discard, nil)),
 		})
 		defer svc.Close()
-		plans := make([]*core.Plan, len(sizes))
-		errs := make([]error, len(sizes))
-		var wg sync.WaitGroup
+		ins := make([]*core.Instance, len(sizes))
 		for i, n := range sizes {
-			in, err := core.NewHomogeneous(menu, n, thr)
-			if err != nil {
+			if ins[i], err = core.NewHomogeneous(menu, n, thr); err != nil {
 				t.Fatal(err)
 			}
-			wg.Add(1)
-			go func(i int, in *core.Instance) {
-				defer wg.Done()
-				plans[i], _, errs[i] = svc.DecomposeSummarized(context.Background(), service.DefaultSolverName, in)
-			}(i, in)
 		}
-		wg.Wait()
+		plans, _, err := svc.DecomposeBatch(context.Background(), service.DefaultSolverName, ins)
+		if err != nil {
+			t.Fatalf("batched requests: %v", err)
+		}
 		for i, n := range sizes {
-			if errs[i] != nil {
-				t.Fatalf("batched request %d: %v", i, errs[i])
-			}
 			in, err := core.NewHomogeneous(menu, n, thr)
 			if err != nil {
 				t.Fatal(err)

@@ -105,8 +105,9 @@ func runCell(cell Cell, cellSeed int64, opts Options) (CellResult, error) {
 		return err
 	}
 	if cell.Arrival == ArrivalBursty && cell.Burst > 1 {
-		// Concurrent bursts: submissions race into the batcher's window
-		// on purpose. Whether any two requests coalesce is timing-
+		// Concurrent bursts: submissions race into the batcher on
+		// purpose — the first of a key flushes at once and the rest queue
+		// behind its solve. Whether any two requests coalesce is timing-
 		// dependent, but batched plans are pinned bit-identical to solo
 		// solves, so the fold below stays deterministic either way.
 		for base := 0; base < len(reqs); base += cell.Burst {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -23,7 +22,7 @@ const MaxRequestBytes = 64 << 20
 //
 //	POST   /v1/decompose            synchronous decomposition (NDJSON plan body via Accept: application/x-ndjson,
 //	                                run-form span plan via Accept: application/x-slade-runs+json)
-//	POST   /v1/decompose/batch      many instances over one shared menu, coalesced into one batch window
+//	POST   /v1/decompose/batch      many instances over one shared menu, coalesced into one batch flush
 //	POST   /v1/jobs                 submit an async job (solve, stream or run)
 //	GET    /v1/jobs/{id}            job status (+ result plan with ?include_plan=true;
 //	                                &plan_encoding=stream streams it in O(runs) memory)
@@ -240,10 +239,10 @@ func writeDecomposeNDJSON(w http.ResponseWriter, resp decomposeResponse, plan *c
 }
 
 // batchDecomposeRequest is the POST /v1/decompose/batch body: one shared
-// menu solved for many instances. With batching enabled the concurrent
-// member solves coalesce into a single batch window, so the whole request
-// is served by (at most) one shared block-aligned solve per shape — at
-// exactly the same per-instance cost as solo solves.
+// menu solved for many instances. With batching enabled the members
+// enter the batcher in one step and coalesce into one flush per key, so
+// the whole request is served by (at most) one shared block-aligned
+// solve per shape — at exactly the same per-instance cost as solo solves.
 type batchDecomposeRequest struct {
 	Bins      []core.TaskBin  `json:"bins"`
 	Solver    string          `json:"solver,omitempty"`
@@ -318,35 +317,18 @@ func handleDecomposeBatch(s *Service, w http.ResponseWriter, r *http.Request) {
 		name = s.DefaultSolver()
 	}
 	start := time.Now()
-	// Solve concurrently so the request batcher (when enabled) coalesces
-	// the members into one accumulation window; without a batcher this is
-	// plain fan-out over the solver pool.
-	type memberOut struct {
-		sum PlanSummary
-		err error
+	_, sums, err := s.DecomposeBatch(r.Context(), name, ins)
+	if err != nil {
+		writeErr(w, statusFor(err), err)
+		return
 	}
-	outs := make([]memberOut, len(ins))
-	var wg sync.WaitGroup
-	for i, in := range ins {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, sum, err := s.DecomposeSummarized(r.Context(), name, in)
-			outs[i] = memberOut{sum: sum, err: err}
-		}()
-	}
-	wg.Wait()
 	resp := batchDecomposeResponse{
 		Solver:    name,
 		Instances: len(ins),
 		Results:   make([]batchResult, len(ins)),
 	}
-	for i, o := range outs {
-		if o.err != nil {
-			writeErr(w, statusFor(o.err), fmt.Errorf("instance %d: %w", i, o.err))
-			return
-		}
-		resp.Results[i] = batchResult{N: ins[i].N(), Summary: o.sum}
+	for i, sum := range sums {
+		resp.Results[i] = batchResult{N: ins[i].N(), Summary: sum}
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
 	writeJSON(w, http.StatusOK, resp)
@@ -507,14 +489,9 @@ func handleSubmitJob(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown job kind %q", kind))
 		return
 	}
-	id, err := s.Jobs().Submit(jr)
+	st, err := s.Jobs().submit(jr)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.Jobs().Status(id)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, st)

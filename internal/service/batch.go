@@ -10,9 +10,10 @@ import (
 	"repro/internal/opq"
 )
 
-// DefaultBatchWindow is the accumulation window cmd/sladed enables by
-// default: long enough to coalesce a burst of concurrent same-menu
-// requests, short enough to be invisible next to network latency.
+// DefaultBatchWindow is the window cmd/sladed enables by default: the
+// longest a request that arrives while its key's previous flush is still
+// solving waits for more followers before it flushes on its own. A
+// request on an idle key never waits for it.
 const DefaultBatchWindow = 2 * time.Millisecond
 
 // DefaultBatchMaxRequests caps one batch when Config.BatchMaxRequests is
@@ -23,22 +24,22 @@ const DefaultBatchMaxRequests = 256
 
 // batcher coalesces concurrent default-solver decompose traffic that
 // shares a (menu, threshold) cache key into one shared block-aligned
-// solve per accumulation window — the serving-layer application of the
-// paper's cost-neutrality result: accumulated mass decomposes into the
-// same per-request use multisets it would alone, so batching changes
-// per-request cost by exactly nothing while amortizing the solve.
+// solve — the serving-layer application of the paper's cost-neutrality
+// result: accumulated mass decomposes into the same per-request use
+// multisets it would alone, so batching changes per-request cost by
+// exactly nothing while amortizing the solve.
 //
-// Mechanics: the first request for a key opens a pending batch and arms
-// the window timer; followers sharing the key append themselves. The
-// batch flushes when the window expires, when the size cap fills, or —
-// the double-buffering rule — when the key's previous flush completes
-// with no other flush in flight: requests that accumulated while the
-// solver was busy are solved the moment it frees up, so a saturated
-// solver never idles waiting for a window to expire, and the window is
-// what it claims to be — an upper bound on added latency, paid in full
-// only by sparse traffic. A flush runs one representative block-aligned
-// solve per
-// distinct request size through the existing cached + sharded path and
+// Mechanics: batching only ever collects what queues while the solver
+// is busy, so no request waits on an idle solver. A request whose key
+// has no flush in flight flushes at once (reason idle), together with
+// any same-key members entered in the same call (joinAll — the batch
+// endpoint's members). A request that arrives while a flush of its key
+// is solving opens or joins the key's pending batch, which flushes when
+// that flush completes with no other in flight (the drain handoff), when
+// the size cap fills, or when the window expires — so the window bounds
+// only a follower's wait, and a saturated solver never idles waiting for
+// it. A flush runs one representative block-aligned solve per distinct
+// request size through the existing cached + sharded path and
 // replicates ("stamps") each member's copy — full blocks are
 // structurally identical under task renaming (Corollary 1), which is
 // what makes replication sound. The split-back of the summed instance's
@@ -56,7 +57,7 @@ const DefaultBatchMaxRequests = 256
 // abandons its result.
 type batcher struct {
 	svc *Service
-	// window is the maximum accumulation time before a flush.
+	// window is the maximum time a follower's batch waits before a flush.
 	window time.Duration
 	// maxRequests flushes a batch early once this many members joined.
 	maxRequests int
@@ -76,9 +77,13 @@ type batcher struct {
 // Flush reasons, as exported in the slade_batch_flushes_total{reason}
 // metric and threaded through flush for the windowTimeouts counter.
 const (
-	// flushReasonWindow: the accumulation window expired.
+	// flushReasonIdle: the batch's key had no flush in flight, so it
+	// flushed as soon as its members entered.
+	flushReasonIdle = "idle"
+	// flushReasonWindow: a follower batch's window expired before the
+	// key's in-flight flush completed.
 	flushReasonWindow = "window"
-	// flushReasonCap: the batch filled to maxRequests before the window.
+	// flushReasonCap: the batch filled to maxRequests.
 	flushReasonCap = "cap"
 	// flushReasonDrain: a finished flush handed its successor batch
 	// straight to a new flush (the double-buffering rule).
@@ -103,9 +108,10 @@ type pendingBatch struct {
 	bins      core.BinSet
 	threshold float64
 	members   []*batchMember
-	timer     *time.Timer
-	done      chan struct{}
-	err       error
+	// timer is the window timer; nil for a batch opened on an idle key.
+	timer *time.Timer
+	done  chan struct{}
+	err   error
 }
 
 // batchMember is one caller parked in a pending batch. The flush
@@ -135,59 +141,116 @@ func newBatcher(svc *Service, window time.Duration, maxRequests int) *batcher {
 	}
 }
 
-// join enters the caller's instance into the pending batch for its cache
-// key (opening one if needed) and blocks until the batch solve delivers
-// this member's plan and shared summary, or ctx is canceled. The instance
-// must be homogeneous with at least one task.
+// join enters the caller's instance into its key's batch and blocks
+// until the batch solve delivers this member's plan and shared summary,
+// or ctx is canceled. The instance must be homogeneous with at least one
+// task.
 func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, *PlanSummary, error) {
-	bins, threshold := in.Bins(), in.Threshold(0)
-	key := batchKey{
-		digest:    opq.FingerprintDigest(bins, threshold),
-		menuLen:   bins.Len(),
-		threshold: threshold,
+	r := b.joinAll(ctx, []*core.Instance{in})[0]
+	return r.plan, r.summary, r.err
+}
+
+// joinResult is one joinAll member's outcome.
+type joinResult struct {
+	plan    *core.Plan
+	summary *PlanSummary
+	err     error
+}
+
+// joinAll enters every instance (each homogeneous, with at least one
+// task) under one hold of the lock and blocks until each has its plan
+// and shared summary, returning the outcomes in order. Instances that
+// share a key on which no flush is in flight form one batch, flushed
+// once all have entered. If ctx is canceled first, every member leaves
+// its batch and reports ctx.Err().
+func (b *batcher) joinAll(ctx context.Context, ins []*core.Instance) []joinResult {
+	out := make([]joinResult, len(ins))
+	members := make([]*batchMember, len(ins))
+	batches := make([]*pendingBatch, len(ins))
+	type detached struct {
+		pb     *pendingBatch
+		reason string
 	}
-	m := &batchMember{n: in.N()}
+	var flushes []detached   // detached here, flushed after unlock
+	var idle []*pendingBatch // opened here on idle keys
+	var alone []int          // digest collisions, solved unbatched
 
 	b.mu.Lock()
-	pb, ok := b.pending[key]
-	if ok && !sameKey(pb.bins, pb.threshold, bins, threshold) {
-		// Digest collision (distinct key material, equal digest): solve
-		// alone, mirroring the cache's collision bypass.
-		b.mu.Unlock()
-		plan, err := b.svc.sharded.SolveContext(ctx, in)
-		return plan, nil, err
+	for i, in := range ins {
+		bins, threshold := in.Bins(), in.Threshold(0)
+		key := batchKey{
+			digest:    opq.FingerprintDigest(bins, threshold),
+			menuLen:   bins.Len(),
+			threshold: threshold,
+		}
+		pb, ok := b.pending[key]
+		if ok && !sameKey(pb.bins, pb.threshold, bins, threshold) {
+			// Digest collision (distinct key material, equal digest): solve
+			// alone, mirroring the cache's collision bypass.
+			alone = append(alone, i)
+			continue
+		}
+		if !ok {
+			pb = &pendingBatch{key: key, bins: bins, threshold: threshold, done: make(chan struct{})}
+			b.pending[key] = pb
+			if b.inflight[key] == 0 {
+				idle = append(idle, pb)
+			} else {
+				pb.timer = time.AfterFunc(b.window, func() { b.flushExpired(key, pb) })
+			}
+		}
+		members[i] = &batchMember{n: in.N()}
+		pb.members = append(pb.members, members[i])
+		batches[i] = pb
+		if bm := b.svc.metrics; bm != nil {
+			bm.batchPending.Inc()
+		}
+		if len(pb.members) >= b.maxRequests {
+			// Cap reached: detach now so the next member opens a fresh
+			// batch, and flush without waiting for anything.
+			b.detachLocked(pb)
+			flushes = append(flushes, detached{pb, flushReasonCap})
+		}
 	}
-	if !ok {
-		pb = &pendingBatch{key: key, bins: bins, threshold: threshold, done: make(chan struct{})}
-		b.pending[key] = pb
-		pb.timer = time.AfterFunc(b.window, func() { b.flushExpired(key, pb) })
+	for _, pb := range idle {
+		if b.pending[pb.key] == pb { // not already flushed at the cap
+			b.detachLocked(pb)
+			flushes = append(flushes, detached{pb, flushReasonIdle})
+		}
 	}
-	pb.members = append(pb.members, m)
-	if bm := b.svc.metrics; bm != nil {
-		bm.batchPending.Inc()
-	}
-	if len(pb.members) >= b.maxRequests {
-		// Cap reached: detach now so the next join opens a fresh batch,
-		// and flush without waiting out the window.
-		b.detachLocked(pb)
-		b.mu.Unlock()
-		go b.flush(pb, flushReasonCap)
-	} else {
-		b.mu.Unlock()
+	b.mu.Unlock()
+	for _, f := range flushes {
+		go b.flush(f.pb, f.reason)
 	}
 
-	select {
-	case <-pb.done:
-		return m.plan, m.summary, pb.err
-	case <-ctx.Done():
-		// Leave the batch; siblings are untouched. If the flush already
-		// collected this member its result is simply dropped — the cancel
-		// still wins, matching the job manager's cancel semantics.
-		b.mu.Lock()
-		m.gone = true
-		b.mu.Unlock()
-		return nil, nil, ctx.Err()
+	for _, i := range alone {
+		out[i].plan, out[i].err = b.svc.sharded.SolveContext(ctx, ins[i])
 	}
+	for i, pb := range batches {
+		if pb == nil {
+			continue
+		}
+		select {
+		case <-pb.done:
+			out[i] = joinResult{plan: members[i].plan, summary: members[i].summary, err: pb.err}
+		case <-ctx.Done():
+			// Leave the batches; siblings are untouched. If a flush already
+			// collected a member its result is simply dropped — the cancel
+			// still wins, matching the job manager's cancel semantics.
+			b.mu.Lock()
+			for _, m := range members {
+				if m != nil {
+					m.gone = true
+				}
+			}
+			b.mu.Unlock()
+			for i := range out {
+				out[i] = joinResult{err: ctx.Err()}
+			}
+			return out
+		}
+	}
+	return out
 }
 
 // detachLocked removes the batch from the pending map, stops its window
@@ -195,7 +258,9 @@ func (b *batcher) join(ctx context.Context, in *core.Instance) (*core.Plan, *Pla
 // must call flush(pb, ...) after unlocking.
 func (b *batcher) detachLocked(pb *pendingBatch) {
 	delete(b.pending, pb.key)
-	pb.timer.Stop()
+	if pb.timer != nil {
+		pb.timer.Stop()
+	}
 	b.inflight[pb.key]++
 }
 
@@ -212,12 +277,23 @@ func (b *batcher) flushExpired(key batchKey, pb *pendingBatch) {
 	b.flush(pb, flushReasonWindow)
 }
 
-// flush runs the batch's shared solve, delivers every live member's
-// result, and — when it was the key's last in-flight flush — hands any
-// batch that accumulated meanwhile straight to the next flush. Exactly
-// one flush runs per batch: every trigger detaches the batch from the
-// pending map under the lock before calling it.
+// flush runs the batch's shared solve and delivers every live member's
+// result; when it was the key's last in-flight flush, it goes straight
+// on to any batch that accumulated meanwhile (the drain handoff), in
+// this goroutine. Exactly one flush runs per batch: every trigger
+// detaches the batch from the pending map under the lock before calling
+// it.
 func (b *batcher) flush(pb *pendingBatch, reason string) {
+	for pb != nil {
+		pb = b.flushOne(pb, reason)
+		reason = flushReasonDrain
+	}
+}
+
+// flushOne is one batch of flush. It returns the key's successor batch,
+// detached, when this was the key's last flush in flight, and nil
+// otherwise.
+func (b *batcher) flushOne(pb *pendingBatch, reason string) *pendingBatch {
 	b.mu.Lock()
 	members := make([]*batchMember, 0, len(pb.members))
 	for _, m := range pb.members {
@@ -253,27 +329,27 @@ func (b *batcher) flush(pb *pendingBatch, reason string) {
 				m.plan, m.summary = plans[i], sums[i]
 			}
 		}
-		close(pb.done) // one close publishes every member's slot
 	}
 
 	// Drain handoff: requests that arrived while this flush was solving
 	// are ready-made coalesced work — start on them now rather than
-	// letting them wait out the rest of their window.
+	// letting them wait out the rest of their window. The key leaves the
+	// in-flight set before the results are published, so a caller that
+	// comes straight back with its next request finds the key idle.
 	b.mu.Lock()
 	b.inflight[pb.key]--
-	if b.inflight[pb.key] > 0 {
-		b.mu.Unlock()
-		return
+	var succ *pendingBatch
+	if b.inflight[pb.key] == 0 {
+		delete(b.inflight, pb.key)
+		if succ = b.pending[pb.key]; succ != nil {
+			b.detachLocked(succ)
+		}
 	}
-	delete(b.inflight, pb.key)
-	succ, ok := b.pending[pb.key]
-	if !ok {
-		b.mu.Unlock()
-		return
-	}
-	b.detachLocked(succ)
 	b.mu.Unlock()
-	go b.flush(succ, flushReasonDrain)
+	if len(members) > 0 {
+		close(pb.done) // one close publishes every member's slot
+	}
+	return succ
 }
 
 // repSolve is the shared solve of one distinct request size: the
@@ -328,9 +404,9 @@ func (b *batcher) solve(pb *pendingBatch, members []*batchMember) ([]*core.Plan,
 	// stream.SplitPlan split-back; because member i's slice of the merged
 	// plan is exactly its representative shifted by its offset, shifting
 	// there and back cancels, so the two steps fuse into emitting each
-	// member's copy directly in local id space — a run-form clone (arena +
-	// run metadata, three allocations regardless of use count), no
-	// expansion anywhere on the hot path. (The batch tests re-materialize
+	// member's copy directly in local id space — a run-form clone of the
+	// implicit plan (run metadata only, two allocations regardless of n),
+	// no expansion anywhere on the hot path. (The batch tests re-materialize
 	// the merged plan from these results and assert stream.SplitPlan
 	// inverts it, pinning the equivalence.)
 	plans := make([]*core.Plan, len(members))
@@ -362,13 +438,13 @@ type BatchStats struct {
 	// BatchedRequests the requests they served.
 	Batches         uint64 `json:"batches"`
 	BatchedRequests uint64 `json:"batched_requests"`
-	// MeanSize is BatchedRequests / Batches — near 1 means the window is
-	// too short (or traffic too sparse) for coalescing to bite.
+	// MeanSize is BatchedRequests / Batches — near 1 means requests
+	// rarely arrive while a solve of their key is running.
 	MeanSize float64 `json:"batch_mean_size"`
-	// WindowTimeouts counts batches flushed by the window timer rather
-	// than the size cap or a drain handoff; under saturating load this
-	// stays near zero — the timer pays out in full only on sparse
-	// traffic.
+	// WindowTimeouts counts follower batches — requests queued behind a
+	// running solve of their key — that the window timer flushed because
+	// that solve outlasted the window. A request on an idle key flushes at
+	// once and never counts here.
 	WindowTimeouts uint64 `json:"batch_window_timeouts"`
 }
 

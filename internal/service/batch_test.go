@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -25,12 +30,72 @@ func unbatchedCost(t *testing.T, in *core.Instance) float64 {
 	return ref.MustCost(in.Bins())
 }
 
+// holdBuilds swaps in a cache whose queue builds block until release is
+// called. A request on a cold key then keeps its flush in flight, so the
+// requests that follow it on that key queue up as the flush's followers —
+// the only traffic the batcher coalesces. started receives one value per
+// build begun; release is idempotent. Callers defer release after
+// deferring the service's Close, so a failing test releases the held
+// flushes before Close waits for them.
+func holdBuilds(t *testing.T, svc *Service) (started <-chan struct{}, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	begun := make(chan struct{}, 64)
+	svc.cache = NewOPQCacheWithBuilder(DefaultCacheSize, func(bins core.BinSet, th float64) (*opq.Queue, error) {
+		begun <- struct{}{}
+		<-gate
+		return opq.Build(bins, th)
+	})
+	svc.sharded.Cache = svc.cache
+	var once sync.Once
+	return begun, func() { once.Do(func() { close(gate) }) }
+}
+
+// waitBuild waits for the next held queue build to begin.
+func waitBuild(t *testing.T, started <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no queue build began")
+	}
+}
+
+// waitBatcher polls the batcher's state under its lock until cond holds.
+func waitBatcher(t *testing.T, svc *Service, what string, cond func(b *batcher) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		svc.batcher.mu.Lock()
+		ok := cond(svc.batcher)
+		svc.batcher.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batcher never reached: %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pendingMembers counts the members parked in pending batches. Caller
+// holds b.mu.
+func pendingMembers(b *batcher) int {
+	n := 0
+	for _, pb := range b.pending {
+		n += len(pb.members)
+	}
+	return n
+}
+
 // TestBatchCostParityInvariant is the batcher's acceptance invariant:
 // requests of mixed sizes coalesced into one shared block-aligned solve
 // each receive a feasible plan whose cost equals the unbatched solve of
 // the same instance exactly — not within tolerance, exactly. The batch
-// is made deterministic by sizing the cap to the request count, so the
-// final join flushes it without waiting out the (long) window.
+// is made deterministic by entering every member in one step
+// (DecomposeBatch) with the cap sized to the request count, so the final
+// member flushes it at the cap.
 func TestBatchCostParityInvariant(t *testing.T) {
 	menu := binset.Table1()
 	const thr = 0.95
@@ -46,26 +111,22 @@ func TestBatchCostParityInvariant(t *testing.T) {
 	type result struct {
 		plan *core.Plan
 		sum  PlanSummary
-		err  error
+	}
+	ins := make([]*core.Instance, len(sizes))
+	for i, n := range sizes {
+		ins[i] = core.MustHomogeneous(menu, n, thr)
+	}
+	plans, sums, err := svc.DecomposeBatch(context.Background(), DefaultSolverName, ins)
+	if err != nil {
+		t.Fatal(err)
 	}
 	results := make([]result, len(sizes))
-	var wg sync.WaitGroup
-	for i, n := range sizes {
-		in := core.MustHomogeneous(menu, n, thr)
-		wg.Add(1)
-		go func(i int, in *core.Instance) {
-			defer wg.Done()
-			plan, sum, err := svc.DecomposeSummarized(context.Background(), DefaultSolverName, in)
-			results[i] = result{plan, sum, err}
-		}(i, in)
+	for i := range sizes {
+		results[i] = result{plans[i], sums[i]}
 	}
-	wg.Wait()
 
 	for i, n := range sizes {
 		r := results[i]
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
 		in := core.MustHomogeneous(menu, n, thr)
 		if err := r.plan.Validate(in); err != nil {
 			t.Fatalf("request %d: invalid plan: %v", i, err)
@@ -113,6 +174,9 @@ func TestBatchCostParityInvariant(t *testing.T) {
 	if st.Batch.WindowTimeouts != 0 {
 		t.Errorf("cap-flushed batch counted %d window timeouts", st.Batch.WindowTimeouts)
 	}
+	if got := svc.metrics.batchFlushes[flushReasonCap].Value(); got != 1 {
+		t.Errorf("%d cap flushes, want 1", got)
+	}
 	if st.Batch.MeanSize != float64(len(sizes)) {
 		t.Errorf("batch mean size %v, want %d", st.Batch.MeanSize, len(sizes))
 	}
@@ -121,26 +185,142 @@ func TestBatchCostParityInvariant(t *testing.T) {
 	}
 }
 
-// TestBatchWindowTimeoutFlush covers the lone-request path: with no
-// peers, the window timer flushes a batch of one and the request still
-// gets its exact unbatched plan.
+// TestBatchWindowTimeoutFlush covers the window timer: a follower that
+// queues behind its key's in-flight flush is flushed by the window when
+// that flush outlasts it, and still gets its exact unbatched plan.
 func TestBatchWindowTimeoutFlush(t *testing.T) {
-	svc := New(Config{BatchWindow: 2 * time.Millisecond, Workers: 2})
+	svc := New(Config{BatchWindow: 20 * time.Millisecond, Workers: 2})
 	defer svc.Close()
+	started, release := holdBuilds(t, svc)
+	defer release()
 	in := core.MustHomogeneous(binset.Table1(), 10, 0.95)
-	plan, err := svc.Decompose(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
+
+	errs := make([]error, 2)
+	plans := make([]*core.Plan, 2)
+	var wg sync.WaitGroup
+	decompose := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i], errs[i] = svc.Decompose(context.Background(), in)
+		}()
 	}
-	if got, want := plan.MustCost(in.Bins()), unbatchedCost(t, in); got != want {
-		t.Errorf("cost %v != unbatched %v", got, want)
+	decompose(0) // the leader: its idle flush holds in the build
+	waitBuild(t, started)
+	decompose(1) // the follower: pending behind the leader's flush
+	waitBatcher(t, svc, "the window flushing the follower", func(b *batcher) bool { return b.windowTimeouts == 1 })
+	release()
+	wg.Wait()
+
+	want := unbatchedCost(t, in)
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if got := plans[i].MustCost(in.Bins()); got != want {
+			t.Errorf("request %d: cost %v != unbatched %v", i, got, want)
+		}
 	}
 	st := svc.Stats().Batch
-	if st.Batches != 1 || st.BatchedRequests != 1 || st.WindowTimeouts != 1 {
-		t.Errorf("batch stats %+v, want one timed-out batch of one", st)
+	if st.Batches != 2 || st.BatchedRequests != 2 || st.WindowTimeouts != 1 {
+		t.Errorf("batch stats %+v, want an idle flush and one timed-out batch of one", st)
 	}
 	if st.MeanSize != 1 {
 		t.Errorf("mean size %v, want 1", st.MeanSize)
+	}
+}
+
+// TestBatchIdleKeyFlushesAtOnce pins the idle rule: a lone request on a
+// key with no flush in flight flushes immediately — with a one-minute
+// window it still returns within seconds — and carries exactly the plan
+// its unbatched solve produces.
+func TestBatchIdleKeyFlushesAtOnce(t *testing.T) {
+	svc := New(Config{BatchWindow: time.Minute, Workers: 2})
+	defer svc.Close()
+	in := core.MustHomogeneous(binset.Table1(), 1003, 0.95)
+
+	done := make(chan struct{})
+	var plan *core.Plan
+	var err error
+	go func() {
+		defer close(done)
+		plan, err = svc.Decompose(context.Background(), in)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone request on an idle key waited for the window")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := (opq.Solver{}).Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(plan)
+	want, _ := json.Marshal(ref)
+	if !bytes.Equal(got, want) {
+		t.Errorf("batched plan differs from the unbatched solve:\n got %.200s\nwant %.200s", got, want)
+	}
+	for _, reason := range batchFlushReasons {
+		want := uint64(0)
+		if reason == flushReasonIdle {
+			want = 1
+		}
+		if got := svc.metrics.batchFlushes[reason].Value(); got != want {
+			t.Errorf("flushes{reason=%q} = %d, want %d", reason, got, want)
+		}
+	}
+	if st := svc.Stats().Batch; st.Batches != 1 || st.BatchedRequests != 1 || st.WindowTimeouts != 0 {
+		t.Errorf("batch stats %+v, want one idle batch of one", st)
+	}
+}
+
+// TestBatchEndpointOneFlush: a 32-member POST /v1/decompose/batch on an
+// idle key enters the batcher in one step and is served by exactly one
+// flush of 32, with every member priced like its solo solve.
+func TestBatchEndpointOneFlush(t *testing.T) {
+	svc := New(Config{BatchWindow: time.Minute, Workers: 2})
+	defer svc.Close()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	const members = 32
+	menu := binset.Table1()
+	var body bytes.Buffer
+	body.WriteString(`{"bins":[{"cardinality":1,"confidence":0.9,"cost":0.1},{"cardinality":2,"confidence":0.85,"cost":0.18},{"cardinality":3,"confidence":0.8,"cost":0.24}],"instances":[`)
+	for i := 0; i < members; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"n":%d,"threshold":0.95}`, 1000+i)
+	}
+	body.WriteString(`]}`)
+	client := &http.Client{Timeout: 10 * time.Second} // far below the window
+	resp, err := client.Post(srv.URL+"/v1/decompose/batch", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var out batchDecomposeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range out.Results {
+		if want := unbatchedCost(t, core.MustHomogeneous(menu, 1000+i, 0.95)); r.Summary.Cost != want {
+			t.Errorf("member %d: cost %v != unbatched %v", i, r.Summary.Cost, want)
+		}
+	}
+	st := svc.Stats().Batch
+	if st.Batches != 1 || st.BatchedRequests != members {
+		t.Errorf("batch stats %+v, want one flush of %d", st, members)
+	}
+	if got := svc.metrics.batchFlushes[flushReasonIdle].Value(); got != 1 {
+		t.Errorf("%d idle flushes, want 1", got)
 	}
 }
 
@@ -198,42 +378,60 @@ func TestBatchDrainHandoffFlushesWithoutWindow(t *testing.T) {
 // TestBatchMemberCancelLeavesSiblings pins the DELETE-one-member
 // semantics at the batcher level: a caller canceled while the batch is
 // pending gets ctx.Err() promptly, and its siblings still receive exact
-// plans from the shared solve.
+// plans from the shared solve. The batch stays pending behind a leader
+// whose flush holds in its queue build.
 func TestBatchMemberCancelLeavesSiblings(t *testing.T) {
 	menu := binset.Table1()
-	svc := New(Config{Workers: 2, BatchWindow: 250 * time.Millisecond, BatchMaxRequests: 64})
+	svc := New(Config{Workers: 2, BatchWindow: time.Minute, BatchMaxRequests: 64})
 	defer svc.Close()
+	started, release := holdBuilds(t, svc)
+	defer release()
 
 	in := core.MustHomogeneous(menu, 30, 0.95)
 	ctx, cancel := context.WithCancel(context.Background())
 
 	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	costs := make([]float64, 3)
-	for i := 0; i < 3; i++ {
-		reqCtx := context.Background()
-		if i == 0 {
-			reqCtx = ctx
-		}
+	errs := make([]error, 4)
+	costs := make([]float64, 4)
+	canceledDone := make(chan struct{})
+	decompose := func(i int, reqCtx context.Context) {
 		wg.Add(1)
-		go func(i int, reqCtx context.Context) {
+		go func() {
 			defer wg.Done()
+			if i == 0 {
+				defer close(canceledDone)
+			}
 			plan, err := svc.Decompose(reqCtx, in)
 			errs[i] = err
 			if err == nil {
 				costs[i] = plan.MustCost(menu)
 			}
-		}(i, reqCtx)
+		}()
 	}
-	time.Sleep(30 * time.Millisecond) // let all three join the pending batch
+	decompose(3, context.Background()) // the leader
+	waitBuild(t, started)
+	for i := 0; i < 3; i++ {
+		reqCtx := context.Background()
+		if i == 0 {
+			reqCtx = ctx
+		}
+		decompose(i, reqCtx)
+	}
+	waitBatcher(t, svc, "three pending followers", func(b *batcher) bool { return pendingMembers(b) == 3 })
 	cancel()
+	select {
+	case <-canceledDone: // promptly: the leader's flush is still held
+	case <-time.After(10 * time.Second):
+		t.Fatal("canceled member did not return while its batch was pending")
+	}
+	release()
 	wg.Wait()
 
 	if !errors.Is(errs[0], context.Canceled) {
 		t.Fatalf("canceled member returned %v, want context.Canceled", errs[0])
 	}
 	want := unbatchedCost(t, in)
-	for i := 1; i < 3; i++ {
+	for i := 1; i < 4; i++ {
 		if errs[i] != nil {
 			t.Fatalf("sibling %d failed: %v", i, errs[i])
 		}
@@ -241,8 +439,8 @@ func TestBatchMemberCancelLeavesSiblings(t *testing.T) {
 			t.Errorf("sibling %d cost %v != unbatched %v", i, costs[i], want)
 		}
 	}
-	if st := svc.Stats().Batch; st.BatchedRequests != 2 {
-		t.Errorf("batch served %d requests, want 2 (the canceled member left)", st.BatchedRequests)
+	if st := svc.Stats().Batch; st.Batches != 2 || st.BatchedRequests != 3 {
+		t.Errorf("batch stats %+v, want the leader plus a batch of 2 (the canceled member left)", st)
 	}
 }
 
@@ -356,52 +554,46 @@ func TestBatchedJobsPersistAndReplayIndividually(t *testing.T) {
 }
 
 // TestBatchJobDeleteRemovesMemberOnly: canceling one batched solve job
-// mid-window removes it from the pending batch without cancelling its
-// siblings — the composition with the PR 3 DELETE semantics.
+// while its batch is pending removes it from the batch without
+// cancelling its siblings — the composition with DELETE
+// /v1/jobs/{id}. The batch stays pending behind a leader job whose
+// flush holds in its queue build.
 func TestBatchJobDeleteRemovesMemberOnly(t *testing.T) {
 	menu := binset.Table1()
 	svc := New(Config{
 		Workers: 4, MaxJobs: 4,
-		BatchWindow: 250 * time.Millisecond, BatchMaxRequests: 64,
+		BatchWindow: time.Minute, BatchMaxRequests: 64,
 	})
 	defer svc.Close()
+	started, release := holdBuilds(t, svc)
+	defer release()
 
 	in := core.MustHomogeneous(menu, 21, 0.95)
-	ids := make([]string, 3)
-	for i := range ids {
+	submit := func() string {
 		id, err := svc.Jobs().Submit(JobRequest{Instance: in})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = id
+		return id
 	}
-	// Wait for every job to be inside the solve (running ⇒ parked in the
-	// pending batch or about to be), then delete one.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		running := 0
-		for _, id := range ids {
-			if js, err := svc.Jobs().Status(id); err == nil && js.State == JobRunning {
-				running++
-			}
-		}
-		if running == len(ids) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("jobs never all started running")
-		}
-		time.Sleep(time.Millisecond)
+	leader := submit()
+	waitBuild(t, started)
+	ids := make([]string, 3)
+	for i := range ids {
+		ids[i] = submit()
 	}
+	// Every follower job is parked in the pending batch; delete one.
+	waitBatcher(t, svc, "three pending follower jobs", func(b *batcher) bool { return pendingMembers(b) == len(ids) })
 	if err := svc.Jobs().Cancel(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-
 	if got := waitTerminal(t, svc, ids[0]); got.State != JobCanceled {
 		t.Fatalf("deleted job settled %s, want canceled", got.State)
 	}
+	release()
+
 	want := unbatchedCost(t, in)
-	for _, id := range ids[1:] {
+	for _, id := range append(ids[1:], leader) {
 		if got := waitTerminal(t, svc, id); got.State != JobDone {
 			t.Fatalf("sibling %s settled %s (%s)", id, got.State, got.Error)
 		}
@@ -412,5 +604,8 @@ func TestBatchJobDeleteRemovesMemberOnly(t *testing.T) {
 		if got := plan.MustCost(menu); got != want {
 			t.Errorf("sibling %s cost %v != unbatched %v", id, got, want)
 		}
+	}
+	if st := svc.Stats().Batch; st.Batches != 2 || st.BatchedRequests != 3 {
+		t.Errorf("batch stats %+v, want the leader plus a batch of 2 (the deleted job left)", st)
 	}
 }

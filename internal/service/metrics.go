@@ -129,7 +129,7 @@ type routeMetrics struct {
 var storeOps = []string{"put_job", "get_job", "list_jobs", "delete_job", "put_snapshot", "get_snapshot"}
 
 // batchFlushReasons enumerates the flush-trigger labels.
-var batchFlushReasons = []string{flushReasonWindow, flushReasonCap, flushReasonDrain}
+var batchFlushReasons = []string{flushReasonIdle, flushReasonWindow, flushReasonCap, flushReasonDrain}
 
 func newServiceMetrics() *serviceMetrics {
 	reg := obs.NewRegistry()
@@ -140,7 +140,7 @@ func newServiceMetrics() *serviceMetrics {
 		httpInflight:      reg.Gauge("slade_http_inflight_requests", "HTTP requests currently being served."),
 		admissionRejected: reg.Counter("slade_admission_rejected_total", "Requests shed with 429 by queue-wait admission control."),
 
-		solveLatency: reg.Histogram("slade_solve_duration_seconds", "End-to-end decompose latency (sync and job-driven), including batching windows.", obs.HistogramOpts{}),
+		solveLatency: reg.Histogram("slade_solve_duration_seconds", "End-to-end decompose latency (sync and job-driven), including any wait in the request batcher.", obs.HistogramOpts{}),
 
 		shardObs: ShardPoolObs{
 			SolveDuration: reg.Histogram("slade_shard_solve_duration_seconds", "Per-shard solve latency inside the worker pool.", obs.HistogramOpts{}),
@@ -148,11 +148,7 @@ func newServiceMetrics() *serviceMetrics {
 			ShardJobs:     reg.Counter("slade_shard_jobs_total", "Shard jobs executed by the solver pool."),
 		},
 
-		batchFlushes: map[string]*obs.Counter{
-			flushReasonWindow: reg.Counter("slade_batch_flushes_total", "Batch flushes by trigger.", obs.L("reason", flushReasonWindow)),
-			flushReasonCap:    reg.Counter("slade_batch_flushes_total", "Batch flushes by trigger.", obs.L("reason", flushReasonCap)),
-			flushReasonDrain:  reg.Counter("slade_batch_flushes_total", "Batch flushes by trigger.", obs.L("reason", flushReasonDrain)),
-		},
+		batchFlushes: make(map[string]*obs.Counter, len(batchFlushReasons)),
 		batchFlushSize: reg.Histogram("slade_batch_flush_size", "Live members per flushed batch.",
 			obs.HistogramOpts{Base: 1, Growth: 2, Buckets: 12}),
 		batchPending: reg.Gauge("slade_batch_pending_requests", "Requests currently parked in pending batches."),
@@ -178,6 +174,9 @@ func newServiceMetrics() *serviceMetrics {
 
 		admissionBootID:    time.Now().UnixNano(),
 		admissionRotatedNS: time.Now().UnixNano(),
+	}
+	for _, reason := range batchFlushReasons {
+		m.batchFlushes[reason] = reg.Counter("slade_batch_flushes_total", "Batch flushes by trigger.", obs.L("reason", reason))
 	}
 	for _, op := range storeOps {
 		m.storeOpDuration[op] = reg.Histogram("slade_store_op_duration_seconds", "Durable store operation latency.", obs.HistogramOpts{}, obs.L("op", op))

@@ -154,6 +154,13 @@ func TestResultTTLExpiry(t *testing.T) {
 	if _, err := svc.Jobs().Status(id); err != nil {
 		t.Fatalf("fresh result must be visible: %v", err)
 	}
+	// The spill to the store follows the terminal state (outside the
+	// manager's lock); wait for it before reading the store.
+	for deadline := time.Now().Add(5 * time.Second); svc.Jobs().Stats().Persisted == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fresh result never spilled to the store")
+		}
+	}
 	if _, err := fsStore.GetJob(id); err != nil {
 		t.Fatalf("fresh result must be durable: %v", err)
 	}

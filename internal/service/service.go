@@ -67,14 +67,17 @@ type Config struct {
 	// against; nil selects the crowdsim-backed default (models "jelly"
 	// and "smic", optional worker pool).
 	PlatformFactory PlatformFactory
-	// BatchWindow > 0 enables the request batcher: concurrent
-	// default-solver requests (synchronous decomposes and the planning
-	// phase of solve/run jobs) that share a menu fingerprint accumulate
-	// for up to this long — DefaultBatchWindow (~2ms) in cmd/sladed —
-	// and are served by one shared block-aligned solve, each caller
-	// receiving a plan that costs exactly what its unbatched solve
-	// would. Zero keeps batching off (the library default), preserving
-	// per-request latency for embedders that never see bursts.
+	// BatchWindow > 0 enables the request batcher: default-solver
+	// requests (synchronous decomposes, batch-decompose members and the
+	// planning phase of solve/run jobs) that share a menu fingerprint
+	// and arrive while a solve of that key is running are served
+	// together by one shared block-aligned solve, each caller receiving
+	// a plan that costs exactly what its unbatched solve would. A
+	// request on a key with no solve in flight solves at once; one that
+	// queues behind a running solve waits at most BatchWindow —
+	// DefaultBatchWindow (2ms) in cmd/sladed — usually less, since the
+	// running solve's completion flushes it. Zero keeps batching off
+	// (the library default).
 	BatchWindow time.Duration
 	// BatchMaxRequests flushes a batch early once this many requests
 	// joined it; <= 0 selects DefaultBatchMaxRequests. Only meaningful
@@ -460,9 +463,9 @@ func (s *Service) Decompose(ctx context.Context, in *core.Instance) (*core.Plan,
 // request, error, task and latency counters. Solvers that implement
 // SolveContext (the sharded solver does) observe ctx; plain core.Solvers
 // run to completion. With batching enabled, default-solver homogeneous
-// requests are coalesced with concurrent same-key traffic (the reported
-// latency then includes the accumulation window). Safe for concurrent
-// use; the instance is only read.
+// requests are coalesced with same-key traffic that queues while a solve
+// of their key is in flight (the reported latency then includes that
+// wait). Safe for concurrent use; the instance is only read.
 func (s *Service) DecomposeWith(ctx context.Context, name string, in *core.Instance) (*core.Plan, error) {
 	plan, _, err := s.decomposeTimed(ctx, name, in)
 	return plan, err
@@ -477,15 +480,86 @@ func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core
 	if err != nil {
 		return nil, PlanSummary{}, err
 	}
-	if sum == nil {
-		sm, err := plan.Summarize(in.Bins())
-		if err != nil {
-			return nil, PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
-		}
-		ps := NewPlanSummary(sm)
-		sum = &ps
+	ps, err := summaryOf(plan, sum, in)
+	if err != nil {
+		return nil, PlanSummary{}, err
 	}
-	return plan, *sum, nil
+	return plan, ps, nil
+}
+
+// DecomposeBatch solves every instance with the named solver and returns
+// each one's plan and summary, in order — the shape POST
+// /v1/decompose/batch serves. Members the batcher takes enter it in one
+// step, so members that share a key coalesce into one flush however the
+// scheduler interleaves; the rest solve concurrently. A failure fails the
+// whole call with the first failing member's error, prefixed
+// "instance i: ". Each member counts as one request in the service's
+// counters and latency histogram. Safe for concurrent use.
+func (s *Service) DecomposeBatch(ctx context.Context, name string, ins []*core.Instance) ([]*core.Plan, []PlanSummary, error) {
+	start := time.Now()
+	plans := make([]*core.Plan, len(ins))
+	sums := make([]*PlanSummary, len(ins))
+	errs := make([]error, len(ins))
+	sv, err := s.solver(name)
+	if err == nil {
+		err = ctx.Err()
+	}
+	var batched []*core.Instance
+	var batchedAt []int
+	var wg sync.WaitGroup
+	for i, in := range ins {
+		switch {
+		case in == nil:
+			errs[i] = fmt.Errorf("service: nil instance")
+		case err != nil:
+			errs[i] = err
+		case s.batchable(sv, in):
+			batched = append(batched, in)
+			batchedAt = append(batchedAt, i)
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				plans[i], errs[i] = solveWith(ctx, sv, in)
+			}()
+		}
+	}
+	if len(batched) > 0 {
+		for j, r := range s.batcher.joinAll(ctx, batched) {
+			i := batchedAt[j]
+			plans[i], sums[i], errs[i] = r.plan, r.summary, r.err
+		}
+	}
+	wg.Wait()
+
+	out := make([]PlanSummary, len(ins))
+	var first error
+	for i, in := range ins {
+		s.observe(start, in, errs[i])
+		if errs[i] == nil {
+			out[i], errs[i] = summaryOf(plans[i], sums[i], in)
+		}
+		if errs[i] != nil && first == nil {
+			first = fmt.Errorf("instance %d: %w", i, errs[i])
+		}
+	}
+	if first != nil {
+		return nil, nil, first
+	}
+	return plans, out, nil
+}
+
+// summaryOf returns the plan's summary: the batch's shared one when the
+// batcher supplied it, otherwise computed here.
+func summaryOf(plan *core.Plan, sum *PlanSummary, in *core.Instance) (PlanSummary, error) {
+	if sum != nil {
+		return *sum, nil
+	}
+	sm, err := plan.Summarize(in.Bins())
+	if err != nil {
+		return PlanSummary{}, fmt.Errorf("%w: %v", errSummarize, err)
+	}
+	return NewPlanSummary(sm), nil
 }
 
 // decomposeTimed wraps the solve with the request counters and latency
@@ -493,6 +567,12 @@ func (s *Service) DecomposeSummarized(ctx context.Context, name string, in *core
 func (s *Service) decomposeTimed(ctx context.Context, name string, in *core.Instance) (*core.Plan, *PlanSummary, error) {
 	start := time.Now()
 	plan, sum, err := s.decomposeWith(ctx, name, in)
+	s.observe(start, in, err)
+	return plan, sum, err
+}
+
+// observe records one decompose request that started at start.
+func (s *Service) observe(start time.Time, in *core.Instance, err error) {
 	s.requests.Add(1)
 	s.metrics.solveLatency.ObserveSince(start)
 	if err != nil {
@@ -500,7 +580,6 @@ func (s *Service) decomposeTimed(ctx context.Context, name string, in *core.Inst
 	} else if in != nil {
 		s.tasks.Add(uint64(in.N()))
 	}
-	return plan, sum, err
 }
 
 // ctxSolver is the optional context-aware extension of core.Solver.
@@ -509,9 +588,7 @@ type ctxSolver interface {
 }
 
 // decomposeWith routes one request: through the batcher when it is
-// eligible (batching on, the resolved solver is the built-in sharded
-// path, homogeneous, non-empty — the shapes whose shared solve is
-// provably cost-neutral), otherwise straight to the named solver. Only
+// eligible (see batchable), otherwise straight to the named solver. Only
 // the batched path returns a (shared) summary; nil means the caller
 // computes its own on demand.
 func (s *Service) decomposeWith(ctx context.Context, name string, in *core.Instance) (*core.Plan, *PlanSummary, error) {
@@ -525,19 +602,32 @@ func (s *Service) decomposeWith(ctx context.Context, name string, in *core.Insta
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if s.batcher != nil && in.N() > 0 && in.Homogeneous() {
-		// Batch only the built-in sharded solver: a re-registered
-		// "sharded" must keep routing to the replacement.
-		if ss, ok := sv.(*ShardedSolver); ok && ss == s.sharded {
-			return s.batcher.join(ctx, in)
-		}
+	if s.batchable(sv, in) {
+		return s.batcher.join(ctx, in)
 	}
-	if cs, ok := sv.(ctxSolver); ok {
-		plan, err := cs.SolveContext(ctx, in)
-		return plan, nil, err
-	}
-	plan, err := sv.Solve(in)
+	plan, err := solveWith(ctx, sv, in)
 	return plan, nil, err
+}
+
+// batchable reports whether a request for the resolved solver sv goes
+// through the batcher: batching is on, sv is the built-in sharded path,
+// and the instance is homogeneous and non-empty — the shapes whose
+// shared solve is provably cost-neutral. A re-registered "sharded" keeps
+// routing to the replacement.
+func (s *Service) batchable(sv core.Solver, in *core.Instance) bool {
+	if s.batcher == nil || in.N() == 0 || !in.Homogeneous() {
+		return false
+	}
+	ss, ok := sv.(*ShardedSolver)
+	return ok && ss == s.sharded
+}
+
+// solveWith runs sv on the instance, observing ctx when sv supports it.
+func solveWith(ctx context.Context, sv core.Solver, in *core.Instance) (*core.Plan, error) {
+	if cs, ok := sv.(ctxSolver); ok {
+		return cs.SolveContext(ctx, in)
+	}
+	return sv.Solve(in)
 }
 
 // Jobs returns the async job manager. Safe for concurrent use; the

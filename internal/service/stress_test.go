@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -108,9 +109,11 @@ func TestStressConcurrentDecompose(t *testing.T) {
 // goroutines fire mixed same-key and different-key requests at a batching
 // service and the test asserts the batcher's three invariants at once:
 //
-//  1. one shared solve per key per window — every key's requests coalesce
-//     into exactly one batch (the cap equals the per-key request count, so
-//     the final join flushes deterministically, never the timer);
+//  1. one shared solve per key — every key's requests coalesce into
+//     exactly one batch. Each key's leader request first holds its flush
+//     in flight (its queue build blocks), so the racing requests queue
+//     behind it; the cap equals the per-key request count, so the final
+//     join flushes deterministically, never the timer;
 //  2. exact cost parity — every batched plan costs precisely what the
 //     unbatched OPQ-Based solve of its instance costs;
 //  3. no cross-request task leakage — every plan validates against its own
@@ -155,8 +158,27 @@ func TestStressBatchedDecompose(t *testing.T) {
 		BatchMaxRequests: perKey,
 	})
 	defer svc.Close()
+	builds, release := holdBuilds(t, svc)
+	defer release()
 
+	// One leader per key: its idle flush holds in the key's queue build.
 	var wg sync.WaitGroup
+	for k := 0; k < distinctKeys; k++ {
+		wl := workloads[k*perKey]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan, err := svc.Decompose(context.Background(), wl.in)
+			if err == nil && plan.MustCost(wl.in.Bins()) != wl.want {
+				err = fmt.Errorf("leader cost %v != unbatched %v", plan.MustCost(wl.in.Bins()), wl.want)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		waitBuild(t, builds)
+	}
+
 	start := make(chan struct{})
 	errs := make([]error, len(workloads))
 	for i, wl := range workloads {
@@ -179,6 +201,16 @@ func TestStressBatchedDecompose(t *testing.T) {
 		}(i, wl)
 	}
 	close(start)
+	// Every key's followers fill their batch to the cap while the leaders
+	// hold: two flushes in flight per key, nothing left pending.
+	waitBatcher(t, svc, "every key's batch flushed at the cap", func(b *batcher) bool {
+		inflight := 0
+		for _, n := range b.inflight {
+			inflight += n
+		}
+		return len(b.pending) == 0 && inflight == 2*distinctKeys
+	})
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -187,12 +219,15 @@ func TestStressBatchedDecompose(t *testing.T) {
 	}
 
 	bs := svc.Stats().Batch
-	if int(bs.Batches) != distinctKeys {
-		t.Fatalf("want one shared solve (batch) per key, got %d batches for %d keys (%+v)",
+	if int(bs.Batches) != 2*distinctKeys {
+		t.Fatalf("want one leader and one shared solve (batch) per key, got %d batches for %d keys (%+v)",
 			bs.Batches, distinctKeys, bs)
 	}
-	if got := int(bs.BatchedRequests); got != len(workloads) {
-		t.Fatalf("batcher served %d requests, want %d", got, len(workloads))
+	if got := int(bs.BatchedRequests); got != len(workloads)+distinctKeys {
+		t.Fatalf("batcher served %d requests, want %d", got, len(workloads)+distinctKeys)
+	}
+	if got := int(svc.metrics.batchFlushes[flushReasonCap].Value()); got != distinctKeys {
+		t.Fatalf("%d cap flushes, want one per key (%d)", got, distinctKeys)
 	}
 	if bs.WindowTimeouts != 0 {
 		t.Fatalf("cap-flushed batches counted %d window timeouts", bs.WindowTimeouts)

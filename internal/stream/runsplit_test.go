@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -188,6 +190,12 @@ func FuzzRunSplitRoundTrip(f *testing.F) {
 	f.Add(int64(42), uint8(1))
 	f.Add(int64(7), uint8(8))
 	f.Add(int64(99), uint8(16))
+	// Seeds for the implicit-vs-explicit comparison (splitFormsAgree):
+	// padded menus, large bases, one caller and many.
+	f.Add(int64(2024), uint8(5))
+	f.Add(int64(-3), uint8(12))
+	f.Add(int64(31337), uint8(0))
+	f.Add(int64(8), uint8(15))
 	f.Fuzz(func(t *testing.T, seed int64, callers uint8) {
 		k := int(callers%16) + 1
 		rng := rand.New(rand.NewSource(seed))
@@ -203,5 +211,106 @@ func FuzzRunSplitRoundTrip(f *testing.F) {
 			}
 		}
 		roundTripRunSplit(t, sizes)
+		splitFormsAgree(t, rng, sizes)
 	})
+}
+
+// paddedSplitMenu has no 1-cardinality bin, so small remainders take the
+// padded path.
+func paddedSplitMenu() core.BinSet {
+	return core.MustBinSet([]core.TaskBin{
+		{Cardinality: 2, Confidence: 0.85, Cost: 0.18},
+		{Cardinality: 3, Confidence: 0.80, Cost: 0.24},
+		{Cardinality: 5, Confidence: 0.70, Cost: 0.33},
+	})
+}
+
+// splitFormsAgree solves every caller at a random base, offsets it into
+// its global range and merges — once with implicit task ranges
+// (SolveRunsRange), once over explicit arenas (SolveRuns) — and requires
+// the two merged plans, and every caller's SplitPlan output, to render
+// byte-identically; the implicit split must stay implicit.
+func splitFormsAgree(t *testing.T, rng *rand.Rand, sizes []int) {
+	t.Helper()
+	menu := splitMenu()
+	if rng.Intn(2) == 0 {
+		menu = paddedSplitMenu()
+	}
+	q, err := opq.Build(menu, 0.5+0.49*rng.Float64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var imp, exp []*core.Plan
+	offset := 0
+	for _, n := range sizes {
+		base := rng.Intn(1 << 20)
+		ip, err := opq.SolveRunsRange(q, base, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = base + i
+		}
+		ep, err := opq.SolveRuns(q, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range []struct {
+			pr   *core.PlanRuns
+			dest *[]*core.Plan
+		}{{ip, &imp}, {ep, &exp}} {
+			p := core.NewRunPlan(pair.pr)
+			p.OffsetTasks(offset - base)
+			*pair.dest = append(*pair.dest, p)
+		}
+		offset += n
+	}
+	mi, me := core.MergePlans(imp...), core.MergePlans(exp...)
+	if got, want := renderPlan(t, mi), renderPlan(t, me); got != want {
+		t.Fatalf("sizes %v: merged implicit plan differs from merged explicit", sizes)
+	}
+	si, err := SplitPlan(mi, sizes)
+	if err != nil {
+		t.Fatalf("implicit split: %v", err)
+	}
+	se, err := SplitPlan(me, sizes)
+	if err != nil {
+		t.Fatalf("explicit split: %v", err)
+	}
+	for i := range sizes {
+		if got, want := renderPlan(t, si[i]), renderPlan(t, se[i]); got != want {
+			t.Fatalf("sizes %v caller %d: implicit split\n%.300s\nexplicit split\n%.300s", sizes, i, got, want)
+		}
+		if pr := si[i].Runs(); pr != nil && len(pr.Runs) > 0 {
+			if _, _, ok := pr.TaskRange(); !ok {
+				t.Fatalf("sizes %v caller %d: split of an implicit plan came back explicit", sizes, i)
+			}
+		}
+	}
+}
+
+// renderPlan is the plan's JSON followed by its NDJSON use stream.
+func renderPlan(t *testing.T, p *core.Plan) string {
+	t.Helper()
+	js, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nd bytes.Buffer
+	if err := p.EncodeUsesNDJSON(&nd); err != nil {
+		t.Fatal(err)
+	}
+	return string(js) + "\n" + nd.String()
+}
+
+// TestSplitFormsAgree runs splitFormsAgree over fixed shapes: mixed
+// sizes, empty callers and sub-block remainders.
+func TestSplitFormsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sizes := range [][]int{{37}, {1, 2, 3}, {12, 0, 7, 30}, {5, 5, 5, 5}, {100, 1, 64, 2, 200}} {
+		for rep := 0; rep < 4; rep++ {
+			splitFormsAgree(t, rng, sizes)
+		}
+	}
 }

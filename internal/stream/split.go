@@ -29,10 +29,11 @@ import (
 // intact should pass a deep copy (core.MergePlans(merged) makes one).
 //
 // A run-backed merged plan (the form core.MergePlans produces from
-// run-backed parts) splits in run form: runs are attributed to owners and
-// the shared arena is rebased in one pass, without expanding a single
-// use. The returned plans then share the merged arena — the same
-// storage-reuse contract the legacy path has always had.
+// run-backed parts) splits in run form: runs are attributed to owners
+// without expanding a single use. An implicit merged plan splits in
+// O(runs) into implicit plans; an explicit arena is rebased in one pass
+// and the returned plans share it — the same storage-reuse contract the
+// legacy path has always had.
 func SplitPlan(merged *core.Plan, sizes []int) ([]*core.Plan, error) {
 	if merged == nil {
 		return nil, fmt.Errorf("stream: split of a nil plan")
@@ -99,15 +100,18 @@ func splitOffsets(sizes []int) ([]int, int, error) {
 	return offsets, offsets[len(sizes)], nil
 }
 
-// splitRuns is the run-form split: each run's arena window is attributed
-// to the caller owning its first task (a run that spans two callers is
+// splitRuns is the run-form split: each run's window is attributed to
+// the caller owning its first task (a run that spans two callers is
 // cross-request leakage and fails, exactly like a spanning use on the
-// legacy path) and rebased in place. Every output plan then gets an
-// arena covering only its own windows — a disjoint subslice of the
-// merged arena when the owner's runs are contiguous (the shape
-// core.MergePlans produces; zero copy), a fresh copy otherwise — so
-// mutating one output (OffsetTasks) can never corrupt a sibling, the
-// same isolation the legacy path's disjoint use windows provided.
+// legacy path). An implicit merged plan (ids base..base+n-1) splits in
+// O(runs): each caller whose runs are contiguous gets an implicit plan
+// over its own local range. An explicit merged arena is rebased in
+// place, and each caller gets an arena covering only its own windows — a
+// disjoint subslice of the merged arena when the owner's runs are
+// contiguous (the shape core.MergePlans produces; zero copy). Scattered
+// windows are copied into a fresh arena, so mutating one output
+// (OffsetTasks) can never corrupt a sibling, the same isolation the
+// legacy path's disjoint use windows provided.
 func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.Plan, error) {
 	type ownerAcc struct {
 		runs []core.BlockRun
@@ -120,17 +124,20 @@ func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.
 	for i := range parts {
 		parts[i].contiguous = true
 	}
+	base, _, implicit := merged.TaskRange()
 	owner := 0
 	for ri := range merged.Runs {
 		r := &merged.Runs[ri]
 		if r.Len == 0 {
 			return nil, fmt.Errorf("stream: run %d has no tasks to attribute an owner by", ri)
 		}
-		if r.Off < 0 || r.Off+r.Len > len(merged.Arena) {
+		if r.Off < 0 || r.Off+r.Len > merged.NumTasks() {
 			return nil, fmt.Errorf("stream: run %d window [%d,%d) outside the arena", ri, r.Off, r.Off+r.Len)
 		}
-		window := merged.Arena[r.Off : r.Off+r.Len]
-		first := window[0]
+		first := base + r.Off
+		if !implicit {
+			first = merged.Arena[r.Off]
+		}
 		if first < 0 || first >= total {
 			return nil, fmt.Errorf("stream: run %d task %d outside the merged space [0,%d)", ri, first, total)
 		}
@@ -143,11 +150,19 @@ func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.
 			owner = sort.Search(len(sizes), func(i int) bool { return offsets[i+1] > first })
 		}
 		lo, hi := offsets[owner], offsets[owner+1]
-		for wi, t := range window {
-			if t < lo || t >= hi {
-				return nil, fmt.Errorf("stream: run %d leaks across callers: task %d outside owner %d's range [%d,%d)", ri, t, owner, lo, hi)
+		if implicit {
+			// Consecutive ids from first >= lo: hi is the first one out.
+			if first+r.Len > hi {
+				return nil, fmt.Errorf("stream: run %d leaks across callers: task %d outside owner %d's range [%d,%d)", ri, hi, owner, lo, hi)
 			}
-			window[wi] = t - lo // rebase in place; we own the storage
+		} else {
+			window := merged.Arena[r.Off : r.Off+r.Len]
+			for wi, t := range window {
+				if t < lo || t >= hi {
+					return nil, fmt.Errorf("stream: run %d leaks across callers: task %d outside owner %d's range [%d,%d)", ri, t, owner, lo, hi)
+				}
+				window[wi] = t - lo // rebase in place; we own the storage
+			}
 		}
 		acc := &parts[owner]
 		if len(acc.runs) == 0 {
@@ -169,9 +184,13 @@ func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.
 		case len(acc.runs) == 0:
 			// No uses for this caller; empty run-backed plan.
 		case acc.contiguous:
-			pr.Arena = merged.Arena[acc.minOff : acc.minOff+acc.total]
 			for ri := range pr.Runs {
 				pr.Runs[ri].Off -= acc.minOff
+			}
+			if implicit {
+				pr = core.RangePlanRuns(base+acc.minOff-offsets[i], acc.total, pr.Runs)
+			} else {
+				pr.Arena = merged.Arena[acc.minOff : acc.minOff+acc.total]
 			}
 		default:
 			// Scattered windows: copy them into an owner-private arena.
@@ -179,7 +198,13 @@ func splitRuns(merged *core.PlanRuns, sizes, offsets []int, total int) ([]*core.
 			for ri := range pr.Runs {
 				r := &pr.Runs[ri]
 				off := len(arena)
-				arena = append(arena, merged.Arena[r.Off:r.Off+r.Len]...)
+				if implicit {
+					for t := base + r.Off; t < base+r.Off+r.Len; t++ {
+						arena = append(arena, t-offsets[i])
+					}
+				} else {
+					arena = append(arena, merged.Arena[r.Off:r.Off+r.Len]...)
+				}
 				r.Off = off
 			}
 			pr.Arena = arena

@@ -316,8 +316,11 @@ type (
 	JobExecutionReport = service.ExecutionReport
 )
 
-// DefaultBatchWindow is the request-batcher accumulation window cmd/sladed
-// enables by default; ServiceConfig.BatchWindow = 0 keeps batching off.
+// DefaultBatchWindow is the request-batcher window cmd/sladed enables by
+// default: the longest a request that arrives while a solve of its menu
+// is running waits to share a solve with the requests queued behind it.
+// A request on an idle menu solves at once. ServiceConfig.BatchWindow = 0
+// keeps batching off.
 const DefaultBatchWindow = service.DefaultBatchWindow
 
 // DefaultBatchMaxRequests is the per-batch size cap used when
